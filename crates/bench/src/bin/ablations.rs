@@ -1,6 +1,7 @@
-//! Ablations of the design decisions DESIGN.md calls out, reported by
-//! wall time *and* machine-independent work counters (so the comparison
-//! is meaningful even on hosts with few cores):
+//! Ablations of the engine's design decisions — each one a
+//! [`ParseConfig`] toggle — reported by wall time *and*
+//! machine-independent work counters (so the comparison is meaningful
+//! even on hosts with few cores):
 //!
 //! 1. eager vs. deferred non-returning notification (Section 5.3);
 //! 2. per-task decode cache on/off (Section 6.3);

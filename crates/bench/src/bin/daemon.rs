@@ -11,6 +11,14 @@
 //! latency is reported as p50/p99 per request kind for shape, not for
 //! cross-machine comparison.
 //!
+//! One latency bound is checked as well, as a ratio within the run so
+//! it holds on any machine: a cache-hit request over TCP must cost at
+//! most [`HIT_TRANSPORT_RATIO`] times the same request driven through
+//! the socket-free core (encode → decode → `ServeShared::handle` →
+//! encode → decode). A transport stall (such as Nagle's algorithm
+//! holding a split frame until the peer's delayed ACK) shows up as a
+//! ratio in the hundreds.
+//!
 //! Knobs: `PBA_SCALE` scales corpus size and request count,
 //! `PBA_THREADS` (last value) sets the server's worker-pool size.
 
@@ -18,9 +26,12 @@ use pba_bench::report::{mib, secs, Table};
 use pba_bench::scaled;
 use pba_driver::{Session, SessionConfig};
 use pba_gen::{generate, GenConfig};
-use pba_serve::{BinSpec, Client, Request, Response, ServeAddr, ServeConfig, Server};
+use pba_serve::proto::{decode_message, write_message};
+use pba_serve::{BinSpec, Client, Request, Response, ServeAddr, ServeConfig, Server, ServerHandle};
 use std::time::{Duration, Instant};
 
+/// Bound on TCP cache-hit p50 over socket-free p50 for the same request.
+const HIT_TRANSPORT_RATIO: f64 = 8.0;
 const CORPUS: usize = 10;
 const CLIENTS: usize = 8;
 const KINDS: [&str; 5] = ["struct", "features", "slice", "similarity", "topk"];
@@ -44,6 +55,35 @@ fn quantile(sorted: &[f64], q: f64) -> f64 {
         return 0.0;
     }
     sorted[(((sorted.len() - 1) as f64) * q).round() as usize]
+}
+
+/// p50 of one cache-hit request, `(over TCP, through the socket-free
+/// core)` in seconds. The two paths alternate so both see the same
+/// machine conditions.
+fn hit_latency(handle: &ServerHandle, client: &mut Client, req: &Request) -> (f64, f64) {
+    const REPS: usize = 41;
+    let shared = handle.shared();
+    let (mut tcp, mut core) = (Vec::with_capacity(REPS), Vec::with_capacity(REPS));
+    for _ in 0..REPS {
+        let t = Instant::now();
+        let mut frame = Vec::new();
+        write_message(&mut frame, req).expect("encode request");
+        let decoded: Request = decode_message(&frame[4..]).expect("decode request");
+        let reply = shared.handle(decoded);
+        frame.clear();
+        write_message(&mut frame, &reply).expect("encode reply");
+        let reply: Response = decode_message(&frame[4..]).expect("decode reply");
+        core.push(t.elapsed().as_secs_f64());
+        assert!(!matches!(reply, Response::Error { .. }));
+
+        let t = Instant::now();
+        client.request_ok(req).expect("served request");
+        tcp.push(t.elapsed().as_secs_f64());
+    }
+    for v in [&mut tcp, &mut core] {
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    }
+    (quantile(&tcp, 0.5), quantile(&core, 0.5))
 }
 
 fn main() {
@@ -218,6 +258,16 @@ fn main() {
         serve.index_bytes >> 10
     );
 
+    // The last corpus member was touched last by the sweep: resident.
+    let hit = Request::Features { bin: BinSpec::Bytes(corpus[CORPUS - 1].clone()) };
+    let (tcp_p50, core_p50) = hit_latency(&handle, &mut client, &hit);
+    let ratio = tcp_p50 / core_p50.max(1e-9);
+    println!(
+        "cache-hit p50: {} over TCP vs {} socket-free ({ratio:.1}x, bound {HIT_TRANSPORT_RATIO}x)",
+        secs(tcp_p50),
+        secs(core_p50)
+    );
+
     assert_eq!(serve.errors, 0, "a loaded daemon must serve every request cleanly");
     assert!(serve.cache_hits > 0, "hot keys must hit the session cache");
     assert_eq!(serve.index_entries as usize, CORPUS, "whole corpus indexed exactly once");
@@ -226,6 +276,11 @@ fn main() {
     assert!(
         serve.resident_bytes <= cap as u64 || serve.sessions_resident == 1,
         "resident bytes must respect the cap"
+    );
+    assert!(
+        ratio <= HIT_TRANSPORT_RATIO,
+        "a cache hit over TCP must cost at most {HIT_TRANSPORT_RATIO}x the socket-free path \
+         (transport stall?)"
     );
     handle.stop().expect("drain");
     println!("OK: skew hits, cap evicts, zero errors under {CLIENTS} concurrent clients");

@@ -212,10 +212,13 @@ pub struct Cfg {
     /// [`Cfg::index`]). The adjacency below is indexed by it, replacing
     /// the former addr-keyed hash maps.
     edge_nodes: BlockIndex,
-    /// Out-edge adjacency, indexed by [`Cfg::edge_nodes`] id.
-    succs: Vec<Vec<Edge>>,
-    /// In-edge adjacency, indexed by [`Cfg::edge_nodes`] id.
-    preds: Vec<Vec<Edge>>,
+    /// Out-edge adjacency in CSR form: node `i`'s out-edges, sorted,
+    /// are `succs[succ_off[i]..succ_off[i + 1]]`.
+    succ_off: Vec<u32>,
+    succs: Vec<Edge>,
+    /// In-edge adjacency in the same form, grouped by target.
+    pred_off: Vec<u32>,
+    preds: Vec<Edge>,
 }
 
 impl Cfg {
@@ -232,7 +235,9 @@ impl Cfg {
             functions,
             code,
             edge_nodes: BlockIndex::default(),
+            succ_off: Vec::new(),
             succs: Vec::new(),
+            pred_off: Vec::new(),
             preds: Vec::new(),
         };
         cfg.index();
@@ -244,27 +249,37 @@ impl Cfg {
         nodes.sort_unstable();
         nodes.dedup();
         self.edge_nodes = BlockIndex::new(&nodes);
-        self.succs = vec![Vec::new(); nodes.len()];
-        self.preds = vec![Vec::new(); nodes.len()];
-        for &e in &self.edges {
-            self.succs[self.edge_nodes.get(e.src).expect("src indexed")].push(e);
-            self.preds[self.edge_nodes.get(e.dst).expect("dst indexed")].push(e);
-        }
-        for v in self.succs.iter_mut().chain(self.preds.iter_mut()) {
-            v.sort_unstable();
-        }
+        // `edges` iterates sorted by (src, dst, kind): already grouped
+        // by source, each group sorted.
+        self.succs = self.edges.iter().copied().collect();
+        self.preds = self.succs.clone();
+        self.preds.sort_unstable_by_key(|e| (e.dst, *e));
+        let offsets = |edges: &[Edge], key: fn(&Edge) -> u64| {
+            let mut off = vec![0u32; nodes.len() + 1];
+            for e in edges {
+                off[self.edge_nodes.get(key(e)).expect("endpoint indexed") + 1] += 1;
+            }
+            for i in 0..nodes.len() {
+                off[i + 1] += off[i];
+            }
+            off
+        };
+        self.succ_off = offsets(&self.succs, |e| e.src);
+        self.pred_off = offsets(&self.preds, |e| e.dst);
     }
 
     /// Outgoing edges of the block starting at `b` (address-keyed seam
     /// over the dense adjacency).
     pub fn out_edges(&self, b: u64) -> &[Edge] {
-        self.edge_nodes.get(b).map(|i| self.succs[i].as_slice()).unwrap_or(&[])
+        let Some(i) = self.edge_nodes.get(b) else { return &[] };
+        &self.succs[self.succ_off[i] as usize..self.succ_off[i + 1] as usize]
     }
 
     /// Incoming edges of the block starting at `b` (address-keyed seam
     /// over the dense adjacency).
     pub fn in_edges(&self, b: u64) -> &[Edge] {
-        self.edge_nodes.get(b).map(|i| self.preds[i].as_slice()).unwrap_or(&[])
+        let Some(i) = self.edge_nodes.get(b) else { return &[] };
+        &self.preds[self.pred_off[i] as usize..self.pred_off[i + 1] as usize]
     }
 
     /// Intra-procedural successors of `b` (the edges that define function
@@ -296,12 +311,8 @@ impl Cfg {
             .values()
             .map(|f| size_of::<Function>() + f.name.capacity() + f.blocks.capacity() * 8)
             .sum();
-        let adjacency: usize = self
-            .succs
-            .iter()
-            .chain(self.preds.iter())
-            .map(|v| size_of::<Vec<Edge>>() + v.capacity() * size_of::<Edge>())
-            .sum();
+        let adjacency = (self.succs.capacity() + self.preds.capacity()) * size_of::<Edge>()
+            + (self.succ_off.capacity() + self.pred_off.capacity()) * size_of::<u32>();
         blocks
             + edges
             + functions

@@ -292,6 +292,27 @@ impl<K: Hash + Eq + Clone, V> ConcurrentHashMap<K, V> {
         out
     }
 
+    /// Consume the map into its `(key, value)` pairs, in no particular
+    /// order. Takes no locks: meant for the end of a quiescent phase,
+    /// e.g. finalization turning the parse maps into plain data. An
+    /// entry whose `Arc` is still shared (an accessor outlived the map)
+    /// is cloned instead of moved.
+    pub fn into_entries(self) -> Vec<(K, V)>
+    where
+        V: Clone,
+    {
+        let mut out = Vec::with_capacity(self.len());
+        for shard in self.shards.into_vec() {
+            out.extend(shard.into_inner().into_iter().map(|(k, arc)| {
+                let v = Arc::try_unwrap(arc)
+                    .map(RwLock::into_inner)
+                    .unwrap_or_else(|arc| arc.read().clone());
+                (k, v)
+            }));
+        }
+        out
+    }
+
     /// Visit each entry under its read lock. The callback must not touch
     /// this map (deadlock risk); intended for quiescent phases.
     pub fn for_each(&self, mut f: impl FnMut(&K, &V)) {
@@ -477,5 +498,20 @@ mod tests {
         let (ins, races, _, _) = m.stats().snapshot();
         assert_eq!(ins, 2);
         assert_eq!(races, 2);
+    }
+
+    #[test]
+    fn into_entries_moves_every_value_out() {
+        let m: ConcurrentHashMap<u64, Vec<u64>> = ConcurrentHashMap::with_shards(4);
+        for k in 0..20u64 {
+            m.insert(k, vec![k, k * 2]);
+        }
+        // An accessor outliving the map forces the clone path.
+        let held = m.get_arc(&7).unwrap();
+        let mut entries = m.into_entries();
+        entries.sort();
+        assert_eq!(entries.len(), 20);
+        assert!(entries.iter().all(|(k, v)| *v == vec![*k, *k * 2]));
+        assert_eq!(*held.read(), vec![7, 14]);
     }
 }

@@ -1,5 +1,8 @@
-//! Parse-engine configuration, including the ablation toggles DESIGN.md
-//! calls out.
+//! Parse-engine configuration: the thread count plus the ablation
+//! toggles for the paper's design decisions (task vs. level-synchronous
+//! scheduling, eager vs. deferred non-returning notification, the
+//! per-task decode cache), which `pba-bench --bin ablations` compares
+//! and which must all yield the identical canonical CFG.
 
 /// How newly discovered functions are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

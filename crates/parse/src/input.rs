@@ -80,19 +80,19 @@ impl ParseInput {
         ParseInput { code: Arc::new(code), data, seeds }
     }
 
-    /// Read `len` bytes of initialized data (or code) at `addr`.
+    /// Read `len` bytes of initialized data (or code) at `addr`. Any
+    /// range that does not fit — including one whose end overflows,
+    /// as a garbage jump-table address can — is `None`, never a panic.
     pub fn read(&self, addr: u64, len: usize) -> Option<&[u8]> {
-        for (base, bytes) in &self.data {
-            if addr >= *base && addr + len as u64 <= *base + bytes.len() as u64 {
-                let off = (addr - base) as usize;
-                return Some(&bytes[off..off + len]);
-            }
-        }
-        if self.code.contains(addr) && self.code.contains(addr + len as u64 - 1) {
-            let off = (addr - self.code.base) as usize;
-            return Some(&self.code.bytes[off..off + len]);
-        }
-        None
+        let within = |base: u64, bytes: &[u8]| -> Option<usize> {
+            let off = usize::try_from(addr.checked_sub(base)?).ok()?;
+            (off.checked_add(len)? <= bytes.len()).then_some(off)
+        };
+        self.data
+            .iter()
+            .map(|(base, bytes)| (*base, bytes.as_slice()))
+            .chain([(self.code.base, self.code.bytes.as_slice())])
+            .find_map(|(base, bytes)| within(base, bytes).map(|off| &bytes[off..off + len]))
     }
 
     /// Is `addr` a plausible control-flow target (inside the code
@@ -130,5 +130,20 @@ mod tests {
         assert!(input.read(0x3000, 1).is_none());
         assert!(input.valid_code_addr(0x1001));
         assert!(!input.valid_code_addr(0x2000));
+    }
+
+    #[test]
+    fn read_rejects_overflowing_and_empty_ranges() {
+        let code = CodeRegion::new(Arch::X86_64, 0x1000, vec![0xC3, 0x90]);
+        let input = ParseInput::from_parts(code, vec![(0x2000, vec![1, 2, 3, 4])], vec![]);
+        // addr + len wraps past u64::MAX: out of range, not a panic.
+        assert!(input.read(u64::MAX, 8).is_none());
+        assert!(input.read(u64::MAX - 3, 8).is_none());
+        assert!(input.read(u64::MAX - 7, 8).is_none());
+        assert!(input.read(0x2001, usize::MAX).is_none());
+        // Zero-length reads: an empty slice inside a region, else None.
+        assert_eq!(input.read(0x2004, 0), Some(&[][..]));
+        assert_eq!(input.read(0x1000, 0), Some(&[][..]));
+        assert!(input.read(u64::MAX, 0).is_none());
     }
 }

@@ -32,13 +32,29 @@
 //!    overlapping jump tables" observation, tail calls are corrected
 //!    with the three rules, function boundaries are recomputed by
 //!    intra-procedural reachability, and functions without incoming
-//!    inter-procedural edges are removed.
+//!    inter-procedural edges are removed. It consumes the concurrent
+//!    maps into plain data and works on dense block ranks (a
+//!    `BlockIndex`, CSR adjacency, sorted membership lists); a
+//!    tail-call round recomputes only the memberships its flips touch.
 //!
 //! Non-returning functions use the eager-notification protocol of
 //! Section 5.3: the first `ret` decoded in a function flips its status
 //! to `Returns` and immediately resumes every call site waiting on it.
 //! Remaining `Unset` functions (cyclic dependencies, `hlt`/`ud2` bodies)
 //! become `NoReturn` when traversal quiesces.
+//!
+//! Between stages 2 and 3, whenever traversal quiesces, a fixpoint
+//! loop settles what traversal alone cannot: a ret-sweep over `Unset`
+//! functions whose `ret` was parsed under another function's context,
+//! status resolution, and the jump-table re-analysis of Section 5.3;
+//! any new work re-enters traversal. The loop follows the worklist
+//! rule — visit again only what changed: every block-end change and
+//! out-edge change after the first quiescence goes to a dirty log, each
+//! walk and slicing view records the blocks it read, and a round skips
+//! every function and table whose record the log does not touch.
+//! Status resolution runs off a queue of functions whose `has_ret` or
+//! status changed. Each parse times these sub-phases in its
+//! [`ParseStats`].
 //!
 //! `parse_serial` is the same engine on a one-thread pool — the paper's
 //! serial baseline — and the determinism tests assert that any thread

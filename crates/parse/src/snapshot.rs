@@ -7,6 +7,10 @@
 //! a stale snapshot can only under-approximate (and the fixed-point
 //! rounds recover whatever was missed; Section 5.3).
 //!
+//! The view also records its *footprint*: every block start and end
+//! the build read. The post-traversal fixpoint reuses a slice computed
+//! over a view until the dirty log names part of that footprint.
+//!
 //! The borrowing [`CfgView`] contract ("each block decoded at most
 //! once per view") is met lazily: a block's instructions are decoded on
 //! the first `insns` call and cached in a per-block `OnceLock`, so the
@@ -14,9 +18,10 @@
 
 use crate::state::State;
 use pba_cfg::EdgeKind;
+use pba_concurrent::fxhash::{FxHashMap, FxHashSet};
 use pba_dataflow::CfgView;
 use pba_isa::Insn;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
 use std::sync::OnceLock;
 
 /// One captured block: byte range end plus the lazily decoded body.
@@ -29,33 +34,39 @@ struct SnapBlock {
 pub struct SnapshotView {
     entry: u64,
     blocks: Vec<u64>,
-    data: HashMap<u64, SnapBlock>,
-    succs: HashMap<u64, Vec<(u64, EdgeKind)>>,
-    preds: HashMap<u64, Vec<(u64, EdgeKind)>>,
+    data: FxHashMap<u64, SnapBlock>,
+    succs: FxHashMap<u64, Vec<(u64, EdgeKind)>>,
+    preds: FxHashMap<u64, Vec<(u64, EdgeKind)>>,
+    footprint: Vec<u64>,
     code: std::sync::Arc<pba_cfg::CodeRegion>,
 }
 
 impl SnapshotView {
-    /// Build by BFS from `entry` over intra-procedural edges. If
-    /// `ensure_block` is set and the BFS did not reach it (the path from
-    /// the entry is still being parsed), the block is added in isolation
-    /// so jump-table analysis can at least classify the dispatch form.
-    pub fn build(state: &State<'_>, entry: u64, ensure_block: Option<u64>) -> SnapshotView {
-        let mut data: HashMap<u64, SnapBlock> = HashMap::new();
-        let mut succs: HashMap<u64, Vec<(u64, EdgeKind)>> = HashMap::new();
-        let mut preds: HashMap<u64, Vec<(u64, EdgeKind)>> = HashMap::new();
-        let mut seen: HashSet<u64> = HashSet::new();
+    /// Build by BFS from `entry` over intra-procedural edges. Blocks in
+    /// `ensure` that the BFS did not reach (the path from the entry is
+    /// still being parsed) are added in isolation, without edges, so
+    /// jump-table analysis can at least classify the dispatch form; an
+    /// isolated block is nobody's predecessor, so it cannot enter
+    /// another jump's backward slice.
+    pub fn build(state: &State<'_>, entry: u64, ensure: &[u64]) -> SnapshotView {
+        let mut data: FxHashMap<u64, SnapBlock> = FxHashMap::default();
+        let mut succs: FxHashMap<u64, Vec<(u64, EdgeKind)>> = FxHashMap::default();
+        let mut preds: FxHashMap<u64, Vec<(u64, EdgeKind)>> = FxHashMap::default();
+        let mut seen: FxHashSet<u64> = FxHashSet::default();
+        let mut footprint = Vec::new();
         let mut work = vec![entry];
         while let Some(b) = work.pop() {
             if !seen.insert(b) {
                 continue;
             }
+            footprint.push(b);
             let Some(rec) = state.blocks.find(&b) else { continue };
             let end = rec.end;
             drop(rec);
             if end == 0 {
                 continue; // still being parsed
             }
+            footprint.push(end);
             data.insert(b, SnapBlock { end, insns: OnceLock::new() });
             if let Some(edges) = state.edges.find(&end) {
                 for &(dst, kind) in edges.iter() {
@@ -68,10 +79,12 @@ impl SnapshotView {
                 }
             }
         }
-        if let Some(b) = ensure_block {
-            if let std::collections::hash_map::Entry::Vacant(e) = data.entry(b) {
+        for &b in ensure {
+            if let Entry::Vacant(e) = data.entry(b) {
+                footprint.push(b);
                 if let Some(rec) = state.blocks.find(&b) {
                     if rec.end != 0 {
+                        footprint.push(rec.end);
                         e.insert(SnapBlock { end: rec.end, insns: OnceLock::new() });
                     }
                 }
@@ -86,7 +99,20 @@ impl SnapshotView {
         }
         let mut blocks: Vec<u64> = data.keys().copied().collect();
         blocks.sort_unstable();
-        SnapshotView { entry, blocks, data, succs, preds, code: state.input.code.clone() }
+        SnapshotView {
+            entry,
+            blocks,
+            data,
+            succs,
+            preds,
+            footprint,
+            code: state.input.code.clone(),
+        }
+    }
+
+    /// Every block start and end the build read.
+    pub fn footprint(&self) -> &[u64] {
+        &self.footprint
     }
 
     /// Number of blocks captured.

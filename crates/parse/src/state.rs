@@ -13,19 +13,41 @@
 //! Edges live in their own map keyed by *source block end*. That
 //! identity is stable under block splits (it is exactly what the
 //! paper's partial order preserves), so splitting never migrates
-//! edges — it only inserts the implicit fall-through link.
+//! edges — it only inserts the implicit fall-through link. The same
+//! stability makes the end the key for each block's terminator kind,
+//! recorded once when the end is registered.
+//!
+//! Two logs feed the post-traversal fixpoint (see [`crate::traverse`]):
+//! the *dirty log* of block starts whose end changed and block ends
+//! whose out-edges changed, and the *status queue* of functions whose
+//! `has_ret`/status changed or that gained dependents after returning.
+//! The fixpoint revisits only what these logs name.
 
 use crate::config::ParseConfig;
 use crate::input::ParseInput;
 use crate::stats::ParseStats;
+use crossbeam::queue::SegQueue;
 use pba_cfg::{EdgeKind, RetStatus};
 use pba_concurrent::ConcurrentHashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Per-block record. `end == 0` means "created, not yet registered".
 #[derive(Debug, Clone, Copy)]
 pub struct BlockRec {
     /// Current end address (shrinks monotonically under splits).
     pub end: u64,
+}
+
+/// Per-registered-end record.
+#[derive(Debug, Clone, Copy)]
+pub struct EndRec {
+    /// Start of the block currently owning this end.
+    pub start: u64,
+    /// Terminator kind: the block ending here ends in a `ret`. Set by
+    /// the thread that registered the end from its own linear parse;
+    /// ends registered by a split are fall-throughs. Splits never move
+    /// an end, so the flag never goes stale.
+    pub ret: bool,
 }
 
 /// Per-function record; mutated only under its accessor lock.
@@ -89,8 +111,9 @@ pub struct State<'i> {
     pub cfg: &'i ParseConfig,
     /// Invariant 1: blocks by start address.
     pub blocks: ConcurrentHashMap<u64, BlockRec>,
-    /// Invariant 2: registered ends → current owning block start.
-    pub block_ends: ConcurrentHashMap<u64, u64>,
+    /// Invariant 2: registered ends → current owning block start (and
+    /// the terminator kind).
+    pub block_ends: ConcurrentHashMap<u64, EndRec>,
     /// Edges keyed by source block end.
     pub edges: ConcurrentHashMap<u64, Vec<(u64, EdgeKind)>>,
     /// Invariant 5: functions by entry.
@@ -101,6 +124,15 @@ pub struct State<'i> {
     pub stats: ParseStats,
     /// Unique id of this parse run (namespaces thread-local caches).
     pub run_id: u64,
+    /// Whether graph changes are logged to `dirty` (off during the
+    /// first traversal, when no walk exists yet that they could stale).
+    tracking: AtomicBool,
+    /// Dirty log: block starts whose end changed and block ends whose
+    /// out-edges changed since the last drain.
+    dirty: SegQueue<u64>,
+    /// Functions whose status needs resolving: `has_ret` set while
+    /// `Unset`, or a dependent registered after the flip to `Returns`.
+    status_queue: SegQueue<u64>,
 }
 
 impl<'i> State<'i> {
@@ -120,7 +152,28 @@ impl<'i> State<'i> {
                 static NEXT_RUN: AtomicU64 = AtomicU64::new(1);
                 NEXT_RUN.fetch_add(1, Ordering::Relaxed)
             },
+            tracking: AtomicBool::new(false),
+            dirty: SegQueue::new(),
+            status_queue: SegQueue::new(),
         }
+    }
+
+    /// Start logging graph changes to the dirty log.
+    pub fn track_changes(&self) {
+        self.tracking.store(true, Ordering::Relaxed);
+    }
+
+    /// Log that `addr` (a block start whose end changed, or a block end
+    /// whose out-edges changed) invalidates every walk that read it.
+    pub fn mark_dirty(&self, addr: u64) {
+        if self.tracking.load(Ordering::Relaxed) {
+            self.dirty.push(addr);
+        }
+    }
+
+    /// Drain the dirty log.
+    pub fn take_dirty(&self) -> Vec<u64> {
+        std::iter::from_fn(|| self.dirty.pop()).collect()
     }
 
     /// Invariant 1: returns `true` iff this call created the block (the
@@ -144,6 +197,7 @@ impl<'i> State<'i> {
             let (mut acc, _) = self.blocks.insert_with(start, || BlockRec { end });
             acc.end = end;
         }
+        self.mark_dirty(start);
     }
 
     /// Insert an edge; deduplicated. Returns true if newly added.
@@ -153,20 +207,27 @@ impl<'i> State<'i> {
             return false;
         }
         acc.push((dst, kind));
+        drop(acc);
         self.stats.edges_created.inc();
+        self.mark_dirty(src_end);
         true
     }
 
     /// Invariants 2-4: register that the block starting at `start` ends
-    /// at `end`, eagerly splitting on contested ends. Each loop
-    /// iteration re-registers at a strictly smaller end address, so the
-    /// loop converges (paper, Invariant 4).
-    pub fn register_end(&self, start: u64, end: u64) -> RegisterOutcome {
+    /// at `end` (with a `ret` terminator iff `ret`), eagerly splitting
+    /// on contested ends. Each loop iteration re-registers at a strictly
+    /// smaller end address, so the loop converges (paper, Invariant 4).
+    pub fn register_end(&self, start: u64, end: u64, ret: bool) -> RegisterOutcome {
         let mut cur_start = start;
         let mut cur_end = end;
         let mut first = true;
         loop {
-            let (mut acc, inserted) = self.block_ends.insert_with(cur_end, || cur_start);
+            // Only the first registration carries the parsed terminator;
+            // ends registered further down the split chain are
+            // fall-throughs into the next block.
+            let (mut acc, inserted) = self
+                .block_ends
+                .insert_with(cur_end, || EndRec { start: cur_start, ret: ret && first });
             if inserted {
                 self.stats.ends_registered.inc();
                 self.set_block_end(cur_start, cur_end);
@@ -176,7 +237,7 @@ impl<'i> State<'i> {
                     RegisterOutcome::SplitDone
                 };
             }
-            let xi = *acc;
+            let xi = acc.start;
             if xi == cur_start {
                 // Idempotent re-registration (duplicate worklist entry).
                 return RegisterOutcome::SplitDone;
@@ -195,7 +256,7 @@ impl<'i> State<'i> {
                 // shrinks to [xi, cur_start); ours takes over the
                 // registration of cur_end. Out-edges stay keyed at
                 // cur_end — no migration.
-                *acc = cur_start;
+                acc.start = cur_start;
                 drop(acc);
                 self.set_block_end(cur_start, cur_end);
                 self.set_block_end(xi, cur_start);
@@ -269,10 +330,12 @@ impl<'i> State<'i> {
         let mut queue = vec![entry];
         while let Some(f) = queue.pop() {
             let Some(mut acc) = self.funcs.find_mut(&f) else { continue };
-            acc.has_ret = true;
             if !self.cfg.eager_noreturn {
+                // Deferred: the flip waits for `resolve_statuses`.
+                self.set_has_ret(&mut acc, f);
                 continue;
             }
+            acc.has_ret = true;
             if acc.status != RetStatus::Unset {
                 continue;
             }
@@ -285,6 +348,23 @@ impl<'i> State<'i> {
             queue.extend(dependents);
         }
         resumed
+    }
+
+    /// Mark `f` (locked as `acc`) as containing a `ret`, queueing it for
+    /// status resolution if that is news to an `Unset` function.
+    fn set_has_ret(&self, acc: &mut FuncState, f: u64) {
+        if !acc.has_ret && acc.status == RetStatus::Unset {
+            self.status_queue.push(f);
+        }
+        acc.has_ret = true;
+    }
+
+    /// Record that a `ret` is reachable in `f`'s subgraph without
+    /// notifying anyone: `resolve_statuses` performs the flip.
+    pub fn mark_has_ret(&self, f: u64) {
+        if let Some(mut acc) = self.funcs.find_mut(&f) {
+            self.set_has_ret(&mut acc, f);
+        }
     }
 
     /// Register that `f` tail-calls `dep` so `f`'s status follows
@@ -301,6 +381,9 @@ impl<'i> State<'i> {
                 // functions (registrations can arrive after the flip).
                 // Deduplicated: the quiesce sweep re-registers.
                 acc.dependents.push(f);
+                if returns {
+                    self.status_queue.push(dep);
+                }
             }
             returns
         };
@@ -312,17 +395,21 @@ impl<'i> State<'i> {
     }
 
     /// Post-traversal status resolution: fixpoint over `has_ret` and
-    /// tail dependencies, then everything still `Unset` becomes
-    /// `NoReturn`. Returns resumed call sites discovered by the
+    /// tail dependencies, driven by the status queue rather than a scan
+    /// of every function. Returns resumed call sites discovered by the
     /// fixpoint (non-empty only in deferred mode or for late cycles).
+    ///
+    /// The queue is complete: a `Returns` function only ever holds
+    /// waiters or dependents that arrived after its flip, which
+    /// `add_tail_dependency` queues, and an `Unset` function only needs
+    /// resolving once `has_ret` is set, which `set_has_ret` queues.
     pub fn resolve_statuses(&self) -> Vec<(u64, u64)> {
         let mut resumed = Vec::new();
         // 1. has_ret ⇒ Returns (deferred mode leaves these Unset), and
         // drain residual waiters/dependents registered on functions
         // that already transitioned in an earlier round.
-        let entries: Vec<u64> = self.funcs.snapshot_keys();
         let mut queue: Vec<u64> = Vec::new();
-        for &f in &entries {
+        while let Some(f) = self.status_queue.pop() {
             if let Some(mut acc) = self.funcs.find_mut(&f) {
                 if acc.status == RetStatus::Unset && acc.has_ret {
                     acc.status = RetStatus::Returns;
@@ -407,12 +494,12 @@ mod tests {
         let s = State::new(&input, &cfg);
         s.create_block(0x10);
         s.create_block(0x20);
-        assert_eq!(s.register_end(0x10, 0x30), RegisterOutcome::CreateEdges);
-        assert_eq!(s.register_end(0x20, 0x30), RegisterOutcome::SplitDone);
+        assert_eq!(s.register_end(0x10, 0x30, false), RegisterOutcome::CreateEdges);
+        assert_eq!(s.register_end(0x20, 0x30, false), RegisterOutcome::SplitDone);
         assert_eq!(s.blocks.find(&0x10).unwrap().end, 0x20);
         assert_eq!(s.blocks.find(&0x20).unwrap().end, 0x30);
-        assert_eq!(*s.block_ends.find(&0x30).unwrap(), 0x20);
-        assert_eq!(*s.block_ends.find(&0x20).unwrap(), 0x10);
+        assert_eq!(s.block_ends.find(&0x30).unwrap().start, 0x20);
+        assert_eq!(s.block_ends.find(&0x20).unwrap().start, 0x10);
         // Fall-through edge linking the split halves.
         let e = s.edges.find(&0x20).unwrap();
         assert!(e.contains(&(0x20, EdgeKind::Fallthrough)));
@@ -427,16 +514,16 @@ mod tests {
         for b in [0x04, 0x0A, 0x0D] {
             s.create_block(b);
         }
-        assert_eq!(s.register_end(0x0A, 0x20), RegisterOutcome::CreateEdges);
-        assert_eq!(s.register_end(0x04, 0x20), RegisterOutcome::SplitDone);
-        assert_eq!(s.register_end(0x0D, 0x20), RegisterOutcome::SplitDone);
+        assert_eq!(s.register_end(0x0A, 0x20, false), RegisterOutcome::CreateEdges);
+        assert_eq!(s.register_end(0x04, 0x20, false), RegisterOutcome::SplitDone);
+        assert_eq!(s.register_end(0x0D, 0x20, false), RegisterOutcome::SplitDone);
         assert_eq!(s.blocks.find(&0x04).unwrap().end, 0x0A);
         assert_eq!(s.blocks.find(&0x0A).unwrap().end, 0x0D);
         assert_eq!(s.blocks.find(&0x0D).unwrap().end, 0x20);
         // Ends registry consistent.
-        assert_eq!(*s.block_ends.find(&0x0A).unwrap(), 0x04);
-        assert_eq!(*s.block_ends.find(&0x0D).unwrap(), 0x0A);
-        assert_eq!(*s.block_ends.find(&0x20).unwrap(), 0x0D);
+        assert_eq!(s.block_ends.find(&0x0A).unwrap().start, 0x04);
+        assert_eq!(s.block_ends.find(&0x0D).unwrap().start, 0x0A);
+        assert_eq!(s.block_ends.find(&0x20).unwrap().start, 0x0D);
     }
 
     #[test]
@@ -452,7 +539,7 @@ mod tests {
                 scope.spawn(move || {
                     for b in chunk {
                         s.create_block(b);
-                        s.register_end(b, 0x200);
+                        s.register_end(b, 0x200, false);
                     }
                 });
             }
@@ -542,6 +629,79 @@ mod tests {
         let resumed = s.resolve_statuses();
         assert_eq!(resumed, vec![(0x1100, 0x1000)]);
         assert_eq!(s.funcs.find(&0x2000).unwrap().status, RetStatus::Returns);
+    }
+
+    #[test]
+    fn terminator_flag_stays_with_its_end_across_splits() {
+        let input = test_input();
+        let cfg = ParseConfig::default();
+        let s = State::new(&input, &cfg);
+        s.create_block(0x10);
+        s.create_block(0x20);
+        // [0x10, 0x30) ends in a `ret`; a later block at 0x20 splits it.
+        assert_eq!(s.register_end(0x10, 0x30, true), RegisterOutcome::CreateEdges);
+        assert_eq!(s.register_end(0x20, 0x30, true), RegisterOutcome::SplitDone);
+        let at_30 = *s.block_ends.find(&0x30).unwrap();
+        assert_eq!((at_30.start, at_30.ret), (0x20, true));
+        // The split-off head falls through: no `ret` at its new end.
+        let at_20 = *s.block_ends.find(&0x20).unwrap();
+        assert_eq!((at_20.start, at_20.ret), (0x10, false));
+    }
+
+    #[test]
+    fn dirty_log_records_only_after_tracking_starts() {
+        let input = test_input();
+        let cfg = ParseConfig::default();
+        let s = State::new(&input, &cfg);
+        s.create_block(0x10);
+        s.register_end(0x10, 0x30, false);
+        s.add_edge(0x30, 0x40, EdgeKind::Direct);
+        assert!(s.take_dirty().is_empty());
+        s.track_changes();
+        // A new edge dirties its source end; a duplicate changes nothing.
+        s.add_edge(0x30, 0x50, EdgeKind::CondTaken);
+        s.add_edge(0x30, 0x50, EdgeKind::CondTaken);
+        // A split dirties both blocks whose end changed.
+        s.create_block(0x20);
+        s.register_end(0x20, 0x30, false);
+        let mut dirty = s.take_dirty();
+        dirty.sort_unstable();
+        dirty.dedup();
+        assert_eq!(dirty, vec![0x10, 0x20, 0x30]);
+        assert!(s.take_dirty().is_empty(), "draining empties the log");
+    }
+
+    #[test]
+    fn resolution_visits_only_queued_functions() {
+        let input = test_input();
+        let cfg = ParseConfig::default();
+        let s = State::new(&input, &cfg);
+        s.create_function(0xA0, None, false);
+        s.create_function(0xB0, None, false);
+        s.add_tail_dependency(0xA0, 0xB0); // A follows B
+        assert!(s.resolve_statuses().is_empty(), "nothing queued yet");
+        // A sweep finds B's `ret`: B is queued, and resolving it
+        // propagates to its dependent A.
+        s.mark_has_ret(0xB0);
+        assert!(s.resolve_statuses().is_empty());
+        assert_eq!(s.funcs.find(&0xB0).unwrap().status, RetStatus::Returns);
+        assert_eq!(s.funcs.find(&0xA0).unwrap().status, RetStatus::Returns);
+    }
+
+    #[test]
+    fn deferred_dependent_of_returning_function_is_queued() {
+        let input = test_input();
+        let cfg = ParseConfig { eager_noreturn: false, ..Default::default() };
+        let s = State::new(&input, &cfg);
+        s.create_function(0xA0, None, false);
+        s.create_function(0xB0, None, false);
+        s.notify_returns(0xB0);
+        s.resolve_statuses();
+        assert_eq!(s.funcs.find(&0xB0).unwrap().status, RetStatus::Returns);
+        // A dependency registered after B's flip still resolves A.
+        assert!(s.add_tail_dependency(0xA0, 0xB0).is_empty());
+        s.resolve_statuses();
+        assert_eq!(s.funcs.find(&0xA0).unwrap().status, RetStatus::Returns);
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! the other. They let the benches compare configurations (eager vs.
 //! deferred notification, cache on/off, task vs. rounds) by *work done*
 //! even on machines with few cores.
+//!
+//! Each parse also times its own sub-phases (seed, traversal batches,
+//! ret-sweep, status resolution, jump-table refinement, finalization)
+//! and counts the rounds of each, so "where did the parse go?" can be
+//! answered per parse without a profiler. The timers are a handful of
+//! `Instant::now()` calls per round, not per block.
 
 use pba_concurrent::Counter;
 use serde::Serialize;
@@ -45,6 +51,33 @@ pub struct ParseStats {
     pub tailcall_flips: Counter,
     /// Undecodable candidate blocks.
     pub decode_errors: Counter,
+    /// Nanoseconds seeding functions from the symbol table (stage 1).
+    pub seed_ns: Counter,
+    /// Nanoseconds in traversal batches (stage 2, Listing 3).
+    pub traverse_ns: Counter,
+    /// Traversal batches run: the first, plus one per fixpoint round
+    /// that queued new work.
+    pub traverse_batches: Counter,
+    /// Nanoseconds in post-quiescence ret-sweeps.
+    pub ret_sweep_ns: Counter,
+    /// Ret-sweeps run.
+    pub ret_sweeps: Counter,
+    /// Nanoseconds resolving non-returning statuses.
+    pub resolve_ns: Counter,
+    /// Status-resolution passes run.
+    pub resolve_passes: Counter,
+    /// Nanoseconds in jump-table refinement rounds.
+    pub jt_refine_ns: Counter,
+    /// Jump-table refinement rounds run.
+    pub jt_refine_rounds: Counter,
+    /// Nanoseconds in finalization (stage 3).
+    pub finalize_ns: Counter,
+    /// Functions walked by ret-sweeps (a function whose last walk is
+    /// untouched by later changes is not walked again).
+    pub funcs_rewalked: Counter,
+    /// Jump tables sliced by refinement rounds (a table whose function
+    /// view is untouched keeps its cached decision).
+    pub tables_resliced: Counter,
 }
 
 /// Plain-data snapshot for serialization/reporting.
@@ -66,6 +99,18 @@ pub struct StatsSnapshot {
     pub jt_edges_clamped: u64,
     pub tailcall_flips: u64,
     pub decode_errors: u64,
+    pub seed_ns: u64,
+    pub traverse_ns: u64,
+    pub traverse_batches: u64,
+    pub ret_sweep_ns: u64,
+    pub ret_sweeps: u64,
+    pub resolve_ns: u64,
+    pub resolve_passes: u64,
+    pub jt_refine_ns: u64,
+    pub jt_refine_rounds: u64,
+    pub finalize_ns: u64,
+    pub funcs_rewalked: u64,
+    pub tables_resliced: u64,
 }
 
 impl ParseStats {
@@ -88,6 +133,18 @@ impl ParseStats {
             jt_edges_clamped: self.jt_edges_clamped.get(),
             tailcall_flips: self.tailcall_flips.get(),
             decode_errors: self.decode_errors.get(),
+            seed_ns: self.seed_ns.get(),
+            traverse_ns: self.traverse_ns.get(),
+            traverse_batches: self.traverse_batches.get(),
+            ret_sweep_ns: self.ret_sweep_ns.get(),
+            ret_sweeps: self.ret_sweeps.get(),
+            resolve_ns: self.resolve_ns.get(),
+            resolve_passes: self.resolve_passes.get(),
+            jt_refine_ns: self.jt_refine_ns.get(),
+            jt_refine_rounds: self.jt_refine_rounds.get(),
+            finalize_ns: self.finalize_ns.get(),
+            funcs_rewalked: self.funcs_rewalked.get(),
+            tables_resliced: self.tables_resliced.get(),
         }
     }
 }

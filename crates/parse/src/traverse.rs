@@ -11,24 +11,30 @@
 //! identical CFGs at any thread count (the commutativity invariants of
 //! Section 4, pinned by the equivalence tests).
 //! The outer loop also drives the inter-round consequences: deferred
-//! non-returning resolution, the jump-table fixed point, and the final
+//! non-returning resolution, the jump-table fixed point, and the
 //! ret-sweep for functions whose entry block was parsed inside another
-//! function's traversal.
+//! function's traversal. That loop is incremental (`Fixpoint`): the
+//! state logs every block-end and out-edge change after the first
+//! quiescence, and a round re-walks only the `Unset` functions, and
+//! re-slices only the jump tables, whose last walk or view read a
+//! logged address. The terminator question ("does this block end in a
+//! `ret`?") is a flag recorded at end registration, not a decode.
 
 use crate::config::{ParseConfig, Scheduling};
 use crate::finalize;
 use crate::input::ParseInput;
-use crate::jumptable::{decide, eval_targets};
+use crate::jumptable::{decide, eval_targets, TableDecision};
 use crate::snapshot::SnapshotView;
 use crate::state::{CallDisposition, RawJumpTable, RegisterOutcome, State};
 use crate::ParseResult;
 use crossbeam::queue::SegQueue;
 use pba_cfg::EdgeKind;
+use pba_concurrent::fxhash::{FxHashMap, FxHashSet};
 use pba_dataflow::slice_indirect_jump;
-use pba_dataflow::CfgView;
 use pba_isa::{ControlFlow, Insn};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::time::Instant;
 
 /// One traversal work item.
 #[derive(Debug, Clone, Copy)]
@@ -135,7 +141,8 @@ fn traverse<'i: 'scope, 'scope>(state: &'scope State<'i>, sched: &Sched<'_, 'sco
             state.blocks.remove(&b);
             continue;
         }
-        match state.register_end(b, pb.end) {
+        let ret = pb.term.is_some_and(|t| matches!(t.control_flow(), ControlFlow::Ret));
+        match state.register_end(b, pb.end, ret) {
             RegisterOutcome::CreateEdges => {
                 create_edges(state, sched, w.func, b, &pb, &mut worklist)
             }
@@ -165,27 +172,62 @@ fn scan_existing<'i: 'scope, 'scope>(
     sched: &Sched<'_, 'scope>,
     entry: u64,
 ) {
-    let view = SnapshotView::build(state, entry, None);
-    for &b in view.blocks() {
-        let (_, e) = view.block_range(b);
-        // The snapshot's lazily-decoded slice: the terminator question
-        // costs one decode of the block at most, once per view.
-        if let Some(term) = view.insns(b).last() {
-            if matches!(term.control_flow(), ControlFlow::Ret) {
-                let resumed = state.notify_returns(entry);
-                process_resumed(state, sched, resumed);
-            }
+    let w = walk(state, entry);
+    if w.ret {
+        let resumed = state.notify_returns(entry);
+        process_resumed(state, sched, resumed);
+    }
+    // Tail-call dependencies out of this subgraph.
+    for dst in w.tail_targets {
+        let resumed = state.add_tail_dependency(entry, dst);
+        process_resumed(state, sched, resumed);
+    }
+}
+
+/// What one walk of a function's known intra-procedural subgraph saw.
+#[derive(Default)]
+struct Walk {
+    /// Some walked block's registered terminator is a `ret`.
+    ret: bool,
+    /// Targets of tail-call edges leaving the walked blocks.
+    tail_targets: Vec<u64>,
+    /// Every block start and end the walk read; the walk is stale once
+    /// the dirty log names any of them.
+    footprint: Vec<u64>,
+}
+
+/// Walk `entry`'s known subgraph (blocks reachable over
+/// intra-procedural edges, skipping blocks still being parsed). Reads
+/// the terminator flag recorded at end registration instead of
+/// decoding blocks.
+fn walk(state: &State<'_>, entry: u64) -> Walk {
+    let mut w = Walk::default();
+    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let mut work = vec![entry];
+    while let Some(b) = work.pop() {
+        if !seen.insert(b) {
+            continue;
         }
-        // Tail-call dependencies out of this subgraph.
-        if let Some(edges) = state.edges.find(&e) {
+        w.footprint.push(b);
+        let end = state.blocks.find(&b).map_or(0, |r| r.end);
+        if end == 0 {
+            continue;
+        }
+        w.footprint.push(end);
+        if state.block_ends.find(&end).is_some_and(|r| r.ret) {
+            w.ret = true;
+        }
+        if let Some(edges) = state.edges.find(&end) {
             for &(dst, kind) in edges.iter() {
-                if kind == EdgeKind::TailCall {
-                    let resumed = state.add_tail_dependency(entry, dst);
-                    process_resumed(state, sched, resumed);
+                match kind {
+                    EdgeKind::TailCall => w.tail_targets.push(dst),
+                    EdgeKind::Call => {}
+                    _ => work.push(dst),
                 }
             }
         }
     }
+    w
 }
 
 /// Create the call fall-through edges + parse work for resumed waiters.
@@ -328,7 +370,7 @@ fn sliced_facts(state: &State<'_>, view: &SnapshotView, block: u64) -> Vec<pba_d
 /// `e`. Adds indirect edges; returns the newly created target blocks
 /// (to be parsed by the caller in this function context).
 fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) -> Vec<u64> {
-    let view = SnapshotView::build(state, fctx, Some(block_start));
+    let view = SnapshotView::build(state, fctx, &[block_start]);
     let facts = sliced_facts(state, &view, block_start);
     let Some(decision) = decide(&facts) else {
         // Record the unresolved jump so the post-quiescence fixed point
@@ -403,138 +445,243 @@ fn analyze_jump_table(state: &State<'_>, fctx: u64, block_start: u64, e: u64) ->
     new_blocks
 }
 
-/// Post-quiescence jump-table fixed point (Section 5.3): re-analyze each
-/// recorded table with the now-larger function subgraph; queue any new
-/// targets for another traversal round. Returns true if anything new
-/// appeared.
-fn refine_jump_tables(state: &State<'_>, queue: &SegQueue<Work>) -> bool {
-    let tables: Vec<(u64, RawJumpTable)> =
-        state.jts.snapshot().into_iter().map(|(k, v)| (k, v.read().clone())).collect();
-    let changed: Vec<bool> = tables
-        .par_iter()
-        .map(|(e, jt)| {
-            // The jump's block may have been split since discovery; the
-            // current owner of the end is the block that actually holds
-            // the indirect jump now.
-            let cur_start = state.block_ends.find(e).map(|a| *a).unwrap_or(jt.block_start);
-            let view = SnapshotView::build(state, jt.func, Some(cur_start));
-            let facts = sliced_facts(state, &view, cur_start);
-            let Some(decision) = decide(&facts) else { return false };
-            let (table_addr, stride, relative) = match decision.form {
-                pba_dataflow::JumpTableForm::Absolute { table, scale, .. } => (table, scale, false),
-                pba_dataflow::JumpTableForm::Relative { table, scale, .. } => (table, scale, true),
-            };
-            // Unbounded tables are clamped here against every table
-            // location known so far ("compilers do not emit overlapping
-            // jump tables"); the finalization pass re-clamps as a
-            // safety net for tables discovered even later.
-            let max_entries = if decision.bound.is_some() {
-                state.cfg.max_jt_entries
-            } else {
-                let next = state
-                    .jts
-                    .snapshot()
-                    .into_iter()
-                    .filter_map(|(_, v)| {
-                        let v = v.read();
-                        (v.stride > 0 && v.table_addr > table_addr).then_some(v.table_addr)
-                    })
-                    .min();
-                match next {
-                    Some(n) if stride > 0 => {
-                        (((n - table_addr) / stride as u64) as usize).min(state.cfg.max_jt_entries)
-                    }
-                    _ => state.cfg.max_jt_entries,
-                }
-            };
-            let (targets, bounded) = eval_targets(state.input, &decision, max_entries);
-            let mut any_new = false;
-            let mut stale: Vec<u64> = Vec::new();
-            {
-                let Some(mut acc) = state.jts.find_mut(e) else { return false };
-                if targets != acc.targets || bounded != acc.bounded || acc.stride == 0 {
-                    // Targets dropped by a tighter clamp leave stale
-                    // indirect edges behind; collect them for removal
-                    // (O_ER is commutative, so this is safe here).
-                    stale = acc.targets.iter().copied().filter(|t| !targets.contains(t)).collect();
-                    acc.targets = targets.clone();
-                    acc.bounded = bounded;
-                    acc.block_start = cur_start;
-                    acc.table_addr = table_addr;
-                    acc.stride = stride;
-                    acc.relative = relative;
-                    any_new = true;
-                }
-            }
-            if !stale.is_empty() {
-                if let Some(mut acc) = state.edges.find_mut(e) {
-                    acc.retain(|&(d, k)| !(k == EdgeKind::Indirect && stale.contains(&d)));
-                }
-            }
-            if any_new {
-                for t in &targets {
-                    state.add_edge(*e, *t, EdgeKind::Indirect);
-                    if state.create_block(*t) {
-                        queue.push(Work { func: jt.func, start: *t });
-                    }
-                }
-            }
-            any_new
-        })
-        .collect();
-    changed.into_iter().any(|c| c)
+/// Memory of the post-quiescence fixpoint. Each round revisits only
+/// the functions and tables whose known subgraph changed since their
+/// last visit (the worklist rule: visit again only what changed). What
+/// changed comes from the state's dirty log; what a visit depended on
+/// is its footprint.
+#[derive(Default)]
+struct Fixpoint {
+    /// Ret-sweep: footprint of each function's last walk.
+    walks: FxHashMap<u64, Vec<u64>>,
+    /// Ret-sweep: functions seen out of `Unset` (statuses never return
+    /// to it), so later sweeps need not look them up.
+    settled: FxHashSet<u64>,
+    /// Refinement: footprint of each function's last slicing view.
+    views: FxHashMap<u64, Vec<u64>>,
+    /// Refinement, per table (keyed by the jump block's end): the block
+    /// start the last slice ran from and the decision it produced.
+    slices: FxHashMap<u64, (u64, Option<TableDecision>)>,
+    /// Dirty addresses logged since the last refinement round.
+    refine_dirty: FxHashSet<u64>,
 }
 
-/// Final sweep: functions still `Unset` whose reachable subgraph
-/// contains a `ret` (parsed under another traversal context) become
-/// `Returns`, and tail-call edges out of the subgraph are re-registered
-/// as status dependencies — the traversal context that first parsed a
-/// shared block may not be every function that owns it. Returns resumed
-/// call sites from dependencies on already-returning targets.
-fn ret_sweep(state: &State<'_>) -> Vec<(u64, u64)> {
-    let entries: Vec<u64> = state.funcs.snapshot_keys();
-    let resumed: Vec<Vec<(u64, u64)>> = entries
-        .par_iter()
-        .map(|&f| {
-            let unset = state
-                .funcs
-                .find(&f)
-                .map(|a| a.status == pba_cfg::RetStatus::Unset)
-                .unwrap_or(false);
-            if !unset {
-                return Vec::new();
-            }
-            let mut resumed = Vec::new();
-            let view = SnapshotView::build(state, f, None);
-            let mut found_ret = false;
-            for &b in view.blocks() {
-                let (_, e) = view.block_range(b);
-                if !found_ret {
-                    if let Some(term) = view.insns(b).last() {
-                        if matches!(term.control_flow(), ControlFlow::Ret) {
-                            if let Some(mut acc) = state.funcs.find_mut(&f) {
-                                acc.has_ret = true;
-                            }
-                            found_ret = true;
-                        }
-                    }
+impl Fixpoint {
+    /// Sweep of the `Unset` functions: a function whose reachable
+    /// subgraph contains a `ret` (parsed under another traversal
+    /// context) gets `has_ret`, and tail-call edges out of the subgraph
+    /// are re-registered as status dependencies — the traversal context
+    /// that first parsed a shared block may not be every function that
+    /// owns it. A function whose last walk read nothing the dirty log
+    /// names is skipped: re-walking it would find the same (absent)
+    /// `ret` and re-register dependencies that are all still in place,
+    /// since a dependency is only ever drained by flipping its
+    /// dependent to `Returns`. Returns resumed call sites from
+    /// dependencies on already-returning targets.
+    fn ret_sweep(&mut self, state: &State<'_>) -> Vec<(u64, u64)> {
+        let dirty: FxHashSet<u64> = state.take_dirty().into_iter().collect();
+        let entries: Vec<u64> = state
+            .funcs
+            .snapshot_keys()
+            .into_iter()
+            .filter(|f| {
+                !self.settled.contains(f) && self.walks.get(f).is_none_or(|fp| touches(fp, &dirty))
+            })
+            .collect();
+        let visits: Vec<(u64, Visit)> = entries
+            .par_iter()
+            .map(|&f| {
+                let unset =
+                    state.funcs.find(&f).is_some_and(|a| a.status == pba_cfg::RetStatus::Unset);
+                if !unset {
+                    return (f, Visit::Settled);
                 }
-                if let Some(edges) = state.edges.find(&e) {
-                    let tail_targets: Vec<u64> = edges
-                        .iter()
-                        .filter(|&&(_, k)| k == EdgeKind::TailCall)
-                        .map(|&(d, _)| d)
-                        .collect();
-                    drop(edges);
-                    for dst in tail_targets {
-                        resumed.extend(state.add_tail_dependency(f, dst));
-                    }
+                let w = walk(state, f);
+                if w.ret {
+                    state.mark_has_ret(f);
+                }
+                let resumed = w
+                    .tail_targets
+                    .iter()
+                    .flat_map(|&dst| state.add_tail_dependency(f, dst))
+                    .collect();
+                (f, Visit::Walked { resumed, footprint: w.footprint })
+            })
+            .collect();
+        self.refine_dirty.extend(dirty);
+        let mut resumed = Vec::new();
+        for (f, visit) in visits {
+            match visit {
+                Visit::Settled => {
+                    self.settled.insert(f);
+                }
+                Visit::Walked { resumed: r, footprint } => {
+                    state.stats.funcs_rewalked.inc();
+                    resumed.extend(r);
+                    self.walks.insert(f, footprint);
                 }
             }
-            resumed
-        })
-        .collect();
-    resumed.into_iter().flatten().collect()
+        }
+        resumed
+    }
+
+    /// Post-quiescence jump-table fixed point (Section 5.3): re-analyze
+    /// recorded tables with the now-larger function subgraphs; queue any
+    /// new targets for another traversal round. Returns true if anything
+    /// changed.
+    ///
+    /// A table is re-sliced only when its function's view is stale
+    /// (or the jump's block was split); otherwise its cached decision
+    /// stands. Target evaluation always re-runs, because a newly found
+    /// table can tighten the clamp of an unbounded one.
+    fn refine_jump_tables(&mut self, state: &State<'_>, queue: &SegQueue<Work>) -> bool {
+        let dirty = std::mem::take(&mut self.refine_dirty);
+        let tables: Vec<(u64, RawJumpTable)> =
+            state.jts.snapshot().into_iter().map(|(k, v)| (k, v.read().clone())).collect();
+        // Known table locations, sorted once per round: unbounded tables
+        // are clamped against the next one ("compilers do not emit
+        // overlapping jump tables"); finalization re-clamps as a safety
+        // net for tables discovered even later.
+        let mut starts: Vec<u64> =
+            tables.iter().filter(|(_, t)| t.stride > 0).map(|(_, t)| t.table_addr).collect();
+        starts.sort_unstable();
+        starts.dedup();
+
+        // The jump's block may have been split since discovery; the
+        // current owner of the end is the block that actually holds the
+        // indirect jump now.
+        let mut by_func: BTreeMap<u64, Vec<(u64, u64)>> = BTreeMap::new();
+        for (e, jt) in &tables {
+            let cur_start = state.block_ends.find(e).map_or(jt.block_start, |a| a.start);
+            by_func.entry(jt.func).or_default().push((*e, cur_start));
+        }
+        let stale_funcs: Vec<(u64, Vec<(u64, u64)>)> = by_func
+            .into_iter()
+            .filter(|(f, list)| {
+                self.views.get(f).is_none_or(|fp| touches(fp, &dirty))
+                    || list.iter().any(|(e, s)| self.slices.get(e).is_none_or(|(cs, _)| cs != s))
+            })
+            .collect();
+        // One view per stale function, shared by all of its tables.
+        let sliced: Vec<Sliced> = stale_funcs
+            .par_iter()
+            .map(|(f, list)| {
+                let ensure: Vec<u64> = list.iter().map(|&(_, s)| s).collect();
+                let view = SnapshotView::build(state, *f, &ensure);
+                let decisions = list
+                    .iter()
+                    .map(|&(e, s)| (e, (s, decide(&sliced_facts(state, &view, s)))))
+                    .collect();
+                Sliced { func: *f, footprint: view.footprint().to_vec(), decisions }
+            })
+            .collect();
+        for s in sliced {
+            state.stats.tables_resliced.add(s.decisions.len() as u64);
+            self.views.insert(s.func, s.footprint);
+            self.slices.extend(s.decisions);
+        }
+
+        let slices = &self.slices;
+        let changed: Vec<bool> = tables
+            .par_iter()
+            .map(|(e, jt)| match slices.get(e) {
+                Some((cur_start, Some(decision))) => {
+                    apply_decision(state, queue, &starts, *e, jt.func, *cur_start, decision)
+                }
+                _ => false,
+            })
+            .collect();
+        changed.into_iter().any(|c| c)
+    }
+}
+
+/// One function's ret-sweep visit.
+enum Visit {
+    /// The function has left `Unset` for good.
+    Settled,
+    /// Walked: the call sites its dependencies resumed, and what the
+    /// walk read.
+    Walked { resumed: Vec<(u64, u64)>, footprint: Vec<u64> },
+}
+
+/// One function's refinement visit: the view's footprint and, per
+/// table end, the block start sliced from and the decision.
+struct Sliced {
+    func: u64,
+    footprint: Vec<u64>,
+    decisions: Vec<(u64, (u64, Option<TableDecision>))>,
+}
+
+/// Does a footprint read any address in the dirty set?
+fn touches(footprint: &[u64], dirty: &FxHashSet<u64>) -> bool {
+    !dirty.is_empty() && footprint.iter().any(|a| dirty.contains(a))
+}
+
+/// Evaluate one table's targets under `decision` and the current clamp,
+/// and record any change: replace stale indirect edges, add the new
+/// ones and queue their blocks. Returns true if the table changed.
+fn apply_decision(
+    state: &State<'_>,
+    queue: &SegQueue<Work>,
+    starts: &[u64],
+    e: u64,
+    func: u64,
+    cur_start: u64,
+    decision: &TableDecision,
+) -> bool {
+    let (table_addr, stride, relative) = match decision.form {
+        pba_dataflow::JumpTableForm::Absolute { table, scale, .. } => (table, scale, false),
+        pba_dataflow::JumpTableForm::Relative { table, scale, .. } => (table, scale, true),
+    };
+    let max_entries = if decision.bound.is_some() {
+        state.cfg.max_jt_entries
+    } else {
+        match starts.get(starts.partition_point(|&a| a <= table_addr)) {
+            Some(&n) if stride > 0 => {
+                (((n - table_addr) / stride as u64) as usize).min(state.cfg.max_jt_entries)
+            }
+            _ => state.cfg.max_jt_entries,
+        }
+    };
+    let (targets, bounded) = eval_targets(state.input, decision, max_entries);
+    let stale: Vec<u64> = {
+        let Some(mut acc) = state.jts.find_mut(&e) else { return false };
+        if targets == acc.targets && bounded == acc.bounded && acc.stride != 0 {
+            return false;
+        }
+        // Targets dropped by a tighter clamp leave stale indirect edges
+        // behind; collect them for removal (O_ER is commutative, so this
+        // is safe here).
+        let stale = acc.targets.iter().copied().filter(|t| !targets.contains(t)).collect();
+        acc.targets = targets.clone();
+        acc.bounded = bounded;
+        acc.block_start = cur_start;
+        acc.table_addr = table_addr;
+        acc.stride = stride;
+        acc.relative = relative;
+        stale
+    };
+    if !stale.is_empty() {
+        if let Some(mut acc) = state.edges.find_mut(&e) {
+            acc.retain(|&(d, k)| !(k == EdgeKind::Indirect && stale.contains(&d)));
+        }
+        state.mark_dirty(e);
+    }
+    for t in targets {
+        state.add_edge(e, t, EdgeKind::Indirect);
+        if state.create_block(t) {
+            queue.push(Work { func, start: t });
+        }
+    }
+    true
+}
+
+/// Run `f`, adding its wall time to `ns`.
+fn timed<R>(ns: &pba_concurrent::Counter, f: impl FnOnce() -> R) -> R {
+    let t = Instant::now();
+    let r = f();
+    ns.add(t.elapsed().as_nanos() as u64);
+    r
 }
 
 /// Run the full engine: init, traversal rounds, status resolution,
@@ -547,30 +694,31 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
 
     pool.install(|| {
         let state = State::new(input, cfg);
-        // Stage 1: parallel function initialization from the symbol
-        // table (Listing 2 line 1).
-        input.seeds.par_iter().for_each(|(addr, name)| {
-            if input.code.contains(*addr) {
-                state.create_function(*addr, Some(name.clone()), true);
+        let stats = &state.stats;
+        let queue: SegQueue<Work> = SegQueue::new();
+        timed(&stats.seed_ns, || {
+            // Stage 1: parallel function initialization from the symbol
+            // table (Listing 2 line 1).
+            input.seeds.par_iter().for_each(|(addr, name)| {
+                if input.code.contains(*addr) {
+                    state.create_function(*addr, Some(name.clone()), true);
+                }
+            });
+            for f in state.funcs.snapshot_keys() {
+                if state.create_block(f) {
+                    queue.push(Work { func: f, start: f });
+                }
             }
         });
 
-        let queue: SegQueue<Work> = SegQueue::new();
-        for f in state.funcs.snapshot_keys() {
-            if state.create_block(f) {
-                queue.push(Work { func: f, start: f });
-            }
-        }
-
+        let mut fix = Fixpoint::default();
         let mut jt_rounds_left = cfg.jt_refine_rounds;
         loop {
             // Drain pending work into a batch.
-            let mut batch = Vec::new();
-            while let Some(w) = queue.pop() {
-                batch.push(w);
-            }
+            let batch: Vec<Work> = std::iter::from_fn(|| queue.pop()).collect();
             if !batch.is_empty() {
-                match cfg.scheduling {
+                stats.traverse_batches.inc();
+                timed(&stats.traverse_ns, || match cfg.scheduling {
                     Scheduling::Task => {
                         rayon::scope(|s| {
                             for w in batch {
@@ -583,33 +731,41 @@ pub fn run(input: &ParseInput, cfg: &ParseConfig) -> ParseResult {
                     Scheduling::Rounds => {
                         batch.par_iter().for_each(|w| traverse(&state, &Sched::Rounds(&queue), *w));
                     }
-                }
+                });
                 continue;
             }
 
             // Quiesced: resolve statuses (no-op in eager mode unless a
-            // scan set has_ret late), then the jump-table fixed point.
+            // sweep set has_ret late), then the jump-table fixed point.
             // Always loop after resuming call sites: even when their
             // fall-through blocks already exist, the new summary edges
             // can make further `ret`s reachable for the next sweep.
-            let mut resumed = ret_sweep(&state);
-            resumed.extend(state.resolve_statuses());
+            // From here on every graph change is logged, so each round
+            // revisits only what the previous ones changed.
+            state.track_changes();
+            stats.ret_sweeps.inc();
+            let mut resumed = timed(&stats.ret_sweep_ns, || fix.ret_sweep(&state));
+            stats.resolve_passes.inc();
+            resumed.extend(timed(&stats.resolve_ns, || state.resolve_statuses()));
             if !resumed.is_empty() {
                 process_resumed(&state, &Sched::Rounds(&queue), resumed);
                 continue;
             }
-            if jt_rounds_left > 0 && refine_jump_tables(&state, &queue) {
-                // Something changed: even without new blocks, new edges
-                // can alter status reachability — loop so the sweep and
-                // resolution re-run.
-                jt_rounds_left -= 1;
-                continue;
+            if jt_rounds_left > 0 {
+                stats.jt_refine_rounds.inc();
+                if timed(&stats.jt_refine_ns, || fix.refine_jump_tables(&state, &queue)) {
+                    // Something changed: even without new blocks, new
+                    // edges can alter status reachability — loop so the
+                    // sweep and resolution re-run.
+                    jt_rounds_left -= 1;
+                    continue;
+                }
             }
             if queue.is_empty() {
                 break;
             }
         }
-        state.close_statuses();
+        timed(&stats.resolve_ns, || state.close_statuses());
         // Finalization runs inside the sized pool so its parallel steps
         // use the configured thread count (Table 2's CFG column times
         // the whole construction, finalization included).

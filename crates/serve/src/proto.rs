@@ -534,14 +534,19 @@ pub fn write_message<T: Serialize>(w: &mut impl Write, msg: &T) -> Result<(), Er
     write_frame(w, json.as_bytes())
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame with a single `write_all`. Prefix
+/// and payload travel together: written separately on an unbuffered
+/// TCP stream, the payload waits behind Nagle's algorithm for the
+/// peer's delayed ACK of the 4-byte prefix (tens of milliseconds per
+/// frame).
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), Error> {
     if payload.len() > MAX_FRAME {
         return Err(Error::Protocol(format!("frame of {} bytes exceeds MAX_FRAME", payload.len())));
     }
-    let len = (payload.len() as u32).to_be_bytes();
-    w.write_all(&len)
-        .and_then(|()| w.write_all(payload))
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)
         .and_then(|()| w.flush())
         .map_err(|e| Error::Protocol(format!("write failed: {e}")))
 }

@@ -102,8 +102,16 @@ impl Stream {
         match addr {
             #[cfg(unix)]
             ServeAddr::Unix(p) => UnixStream::connect(p).map(Stream::Unix),
-            ServeAddr::Tcp(a) => TcpStream::connect(a.as_str()).map(Stream::Tcp),
+            ServeAddr::Tcp(a) => TcpStream::connect(a.as_str()).and_then(Stream::tcp),
         }
+    }
+
+    /// Wrap a TCP stream with Nagle's algorithm off: every frame is one
+    /// complete request or reply, so there is nothing to coalesce and
+    /// holding a frame back only adds latency.
+    fn tcp(s: TcpStream) -> std::io::Result<Stream> {
+        s.set_nodelay(true)?;
+        Ok(Stream::Tcp(s))
     }
 
     pub(crate) fn set_read_timeout(&self, t: Option<Duration>) -> std::io::Result<()> {
@@ -210,7 +218,7 @@ impl Server {
             let accepted = match &self.listener {
                 #[cfg(unix)]
                 Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-                Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
+                Listener::Tcp(l) => l.accept().and_then(|(s, _)| Stream::tcp(s)),
             };
             match accepted {
                 Ok(stream) => {

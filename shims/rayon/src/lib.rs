@@ -285,6 +285,10 @@ impl Latch {
     }
 }
 
+/// How long a caller waiting on its latch sleeps before scanning the
+/// queues again.
+const RESCAN: std::time::Duration = std::time::Duration::from_millis(1);
+
 /// Block until `latch` drains, executing pool tasks while waiting (the
 /// caller is the pool's n-th executor; with a 1-thread pool it is the
 /// *only* one).
@@ -303,8 +307,12 @@ fn wait_with_work(reg: &Arc<Registry>, latch: &Latch) {
             break;
         }
         // Tasks queued after the scan above are handled by the pool's
-        // workers; the final decrement notifies this condvar.
-        drop(latch.cv.wait(guard).unwrap_or_else(|e| e.into_inner()));
+        // workers; the final decrement notifies this condvar. A pool
+        // without workers (1 thread) has no one else to run them: a
+        // caller sharing the pool may queue a task of ours (a child of
+        // one of our tasks it ran) and leave once its own scope is
+        // done. So sleep only briefly, then scan again.
+        drop(latch.cv.wait_timeout(guard, RESCAN).unwrap_or_else(|e| e.into_inner()));
     }
     // Synchronize with the final decrementer before returning: the
     // counter only reaches zero inside the latch's critical section
@@ -869,6 +877,61 @@ mod tests {
                 assert_eq!(std::thread::current().id(), main_id);
             });
         });
+    }
+
+    #[test]
+    fn one_thread_callers_never_strand_each_others_tasks() {
+        use std::sync::mpsc::{channel, RecvTimeoutError};
+        // Callers on 1-thread pools share one worker-less registry and
+        // run whatever they find queued, including each other's tasks.
+        // Forced order: X queues task A and waits in its scope body; Y
+        // queues task B and picks A off the shared queue first. X then
+        // runs B and sleeps on its latch (A is still out). Only after B
+        // is done does A spawn its child — a task of X's scope — and
+        // finish, which ends Y's scope, so Y leaves. Only X can run the
+        // child now.
+        fn trial() {
+            let (a_queued, wait_a_queued) = channel();
+            let (a_started, wait_a_started) = channel();
+            let (b_done, wait_b_done) = channel::<()>();
+            std::thread::scope(|t| {
+                t.spawn(move || {
+                    let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+                    pool.install(move || {
+                        scope(move |s| {
+                            s.spawn(move |s2| {
+                                a_started.send(()).unwrap();
+                                wait_b_done.recv().unwrap();
+                                // Let X reach its latch wait first.
+                                std::thread::sleep(std::time::Duration::from_millis(1));
+                                s2.spawn(|_| {});
+                            });
+                            a_queued.send(()).unwrap();
+                            wait_a_started.recv().unwrap();
+                        })
+                    });
+                });
+                t.spawn(move || {
+                    let pool = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
+                    wait_a_queued.recv().unwrap();
+                    pool.install(|| scope(|s| s.spawn(move |_| b_done.send(()).unwrap())));
+                });
+            });
+        }
+        // A stranded task hangs its owner for good: watch from outside.
+        let (done, finished) = channel();
+        let trials = std::thread::spawn(move || {
+            for _ in 0..50 {
+                trial();
+            }
+            done.send(()).unwrap();
+        });
+        match finished.recv_timeout(std::time::Duration::from_secs(60)) {
+            Err(RecvTimeoutError::Timeout) => {
+                panic!("a 1-thread-pool caller slept on a task only it could run")
+            }
+            _ => trials.join().unwrap(),
+        }
     }
 
     #[test]

@@ -171,12 +171,13 @@ fn run(args: &[String]) -> Result<i32, Error> {
                 out.times.total() * 1e3
             );
             if args.iter().any(|a| a == "--stats") {
-                // One machine-readable line (the same SessionStats the
-                // daemon embeds in its responses), on stderr with the
-                // summary so stdout stays the structure document.
-                let line = serde_json::to_string(&session.stats())
-                    .map_err(|e| Error::Protocol(e.to_string()))?;
-                eprintln!("{line}");
+                // Machine-readable lines on stderr with the summary, so
+                // stdout stays the structure document: the SessionStats
+                // the daemon embeds in its responses, then this parse's
+                // work counters and sub-phase timers.
+                let to_err = |e: serde_json::Error| Error::Protocol(e.to_string());
+                eprintln!("{}", serde_json::to_string(&session.stats()).map_err(to_err)?);
+                eprintln!("{}", serde_json::to_string(&session.parse_stats()?).map_err(to_err)?);
             }
             Ok(0)
         }
@@ -201,6 +202,20 @@ fn run(args: &[String]) -> Result<i32, Error> {
             println!("jts unbounded      {:>10}", s.jt_unbounded);
             println!("jt edges clamped   {:>10}", s.jt_edges_clamped);
             println!("tailcall flips     {:>10}", s.tailcall_flips);
+            println!("funcs re-walked    {:>10}", s.funcs_rewalked);
+            println!("tables re-sliced   {:>10}", s.tables_resliced);
+            println!("sub-phase              ms  rounds");
+            let ms = |ns: u64| ns as f64 / 1e6;
+            for (name, ns, rounds) in [
+                ("seed", s.seed_ns, 1),
+                ("traverse", s.traverse_ns, s.traverse_batches),
+                ("ret-sweep", s.ret_sweep_ns, s.ret_sweeps),
+                ("resolve", s.resolve_ns, s.resolve_passes),
+                ("jt refine", s.jt_refine_ns, s.jt_refine_rounds),
+                ("finalize", s.finalize_ns, 1),
+            ] {
+                println!("  {name:<14} {:>9.1} {rounds:>7}", ms(ns));
+            }
             Ok(0)
         }
         Some("selftest") => {
