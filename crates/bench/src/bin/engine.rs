@@ -1,17 +1,14 @@
-//! Dataflow-engine ablation: executor × thread sweep.
+//! Dataflow-engine sweep: the whole-binary analysis pass across the
+//! `PBA_THREADS` ladder.
 //!
-//! Three levers exist for parallel analysis over the read-only CFG:
-//! fan *functions* across threads (the paper's Listing 7 shape, via
-//! `run_all`), parallelize *within* one function's fixpoint with the
-//! round-based `ParallelExecutor`, or do the same barrier-free with the
-//! deque-based `AsyncExecutor`. This binary sweeps all three across the
-//! `PBA_THREADS` ladder on a `pba-gen` workload and prints the wall
-//! times and speedups, so the scaling curve lands in the benchmark
-//! reports alongside the parse sweeps. The async rows also report the
-//! engine's work counters (block visits, tasks enqueued, tasks stolen;
-//! `pba_dataflow::engine::stats`), and the run asserts the 1-thread
-//! async visit count stays within 2× of serial — the "no runaway
-//! re-enqueue" bar a 1-CPU container can still hold the executor to.
+//! Parallel analysis over the read-only CFG fans *functions* across
+//! threads (the paper's Listing 7 shape, via `run_all`) while each
+//! function's fixpoint runs serially. This binary times `run_all` over
+//! one decode-once `BinaryIr` of a `pba-gen` workload, so the rows
+//! measure fixpoints, not decoding, and prints the wall times and
+//! speedups alongside the engine's block-visit counter
+//! (`pba_dataflow::engine::stats`). Serial fixpoints are deterministic,
+//! so the run asserts the visit count is the same at every thread count.
 //!
 //! ```text
 //! cargo run --release -p pba-bench --bin engine
@@ -19,7 +16,8 @@
 
 use pba_bench::report::{secs, Table};
 use pba_bench::workloads::{sweep_threads, time_median, workload};
-use pba_dataflow::engine::{stats, ExecutorKind};
+use pba_dataflow::engine::stats;
+use pba_dataflow::BinaryIr;
 use pba_gen::Profile;
 
 fn main() {
@@ -35,87 +33,39 @@ fn main() {
         cfg.functions.len(),
         blocks
     );
+    let ir = BinaryIr::build(&cfg, avail);
 
     let reps = 3;
     stats::reset();
     let baseline = time_median(reps, || {
-        std::hint::black_box(pba_dataflow::run_all_with(&cfg, 1, ExecutorKind::Serial));
+        std::hint::black_box(pba_dataflow::run_all(&ir, 1));
     });
     // Counters accumulated over the reps; per-run figures for the table.
     let serial_visits = stats::VISITS.get() / reps as u64;
 
-    let mut table = Table::new(&[
-        "threads",
-        "across-funcs (serial exec)",
-        "speedup",
-        "within-func (parallel exec)",
-        "speedup",
-        "within-func (async exec)",
-        "speedup",
-        "visits",
-        "enq",
-        "steals",
-    ]);
-    let mut async_visits_at_1 = None;
+    let mut table = Table::new(&["threads", "across-funcs", "speedup", "visits"]);
     for threads in sweep_threads() {
-        let across = time_median(reps, || {
-            std::hint::black_box(pba_dataflow::run_all_with(&cfg, threads, ExecutorKind::Serial));
-        });
-        // Within-function parallelism only: functions sequential (pool of
-        // one), each fixpoint on `threads` workers.
-        let within = time_median(reps, || {
-            std::hint::black_box(pba_dataflow::run_all_with(
-                &cfg,
-                1,
-                ExecutorKind::Parallel(threads),
-            ));
-        });
         stats::reset();
-        let within_async = time_median(reps, || {
-            std::hint::black_box(pba_dataflow::run_all_with(&cfg, 1, ExecutorKind::Async(threads)));
+        let across = time_median(reps, || {
+            std::hint::black_box(pba_dataflow::run_all(&ir, threads));
         });
         let visits = stats::VISITS.get() / reps as u64;
-        let enqueued = stats::ASYNC_ENQUEUED.get() / reps as u64;
-        let stolen = stats::ASYNC_STOLEN.get() / reps as u64;
-        if threads == 1 {
-            async_visits_at_1 = Some(visits);
-        }
+        assert_eq!(
+            visits, serial_visits,
+            "serial fixpoints must visit the same blocks at {threads} threads"
+        );
         table.row(vec![
             threads.to_string(),
             secs(across),
             format!("{:.2}x", baseline / across),
-            secs(within),
-            format!("{:.2}x", baseline / within),
-            secs(within_async),
-            format!("{:.2}x", baseline / within_async),
             visits.to_string(),
-            enqueued.to_string(),
-            stolen.to_string(),
         ]);
     }
     println!("{}", table.render());
     println!(
-        "baseline (1 thread, serial executor): {}; {} block visits/run; three \
-         analyses (liveness, reaching defs, stack height) per function",
+        "baseline (1 thread): {}; {} block visits/run; three analyses \
+         (liveness, reaching defs, stack height) per function",
         secs(baseline),
         serial_visits
-    );
-    if let Some(v) = async_visits_at_1 {
-        assert!(
-            v <= serial_visits * 2,
-            "async executor re-enqueue runaway: {v} visits at 1 thread vs {serial_visits} serial"
-        );
-        println!(
-            "async @1 thread: {v} visits vs {serial_visits} serial ({:.2}x, bar: <= 2x)",
-            v as f64 / serial_visits.max(1) as f64
-        );
-    }
-    println!(
-        "\nThe across-function sweep is the paper's \"parallel analysis over a \
-         read-only CFG\" claim; the within-function executors only pay off on \
-         functions with far more blocks than these workloads emit — all three \
-         executors reach identical fixpoints by construction, and the async \
-         rows trade the round barrier for enqueue/steal traffic (visible in \
-         the counters)."
     );
 }

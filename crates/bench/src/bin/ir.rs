@@ -18,9 +18,10 @@
 //!
 //! A second sweep reuses the shared static-chunking harness
 //! (`pba_bench::harness`) on the IR build itself: static contiguous
-//! chunks of the size-sorted function list vs the work-stealing
-//! `run_per_function` fan-out, at the `PBA_THREADS` ladder (parity on a
-//! 1-CPU container, like the steal sweep).
+//! chunks of the size-sorted function list, each function building its
+//! own `FuncIr`, vs the work-stealing `BinaryIr::build`, at the
+//! `PBA_THREADS` ladder (parity on a 1-CPU container, like the steal
+//! sweep).
 //!
 //! ```text
 //! cargo run --release -p pba-bench --bin ir
@@ -30,7 +31,7 @@
 use pba_bench::harness::run_static_chunked;
 use pba_bench::report::{secs, Table};
 use pba_bench::workloads::{time_median, workload};
-use pba_dataflow::FuncIr;
+use pba_dataflow::{BinaryIr, FuncIr};
 use pba_driver::{Session, SessionConfig};
 use pba_gen::Profile;
 
@@ -133,7 +134,7 @@ fn main() {
             });
         });
         let t_steal = time_median(reps, || {
-            std::hint::black_box(pba_dataflow::run_per_function(cfg, threads, |_ir| ()));
+            std::hint::black_box(BinaryIr::build(cfg, threads));
         });
         sweep.row(vec![
             threads.to_string(),

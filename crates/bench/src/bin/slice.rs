@@ -2,8 +2,8 @@
 //!
 //! Since the slice rides the generic dataflow engine, the interesting
 //! lever is the same as for the other analyses: fan independent
-//! indirect jumps across a rayon pool while each fixpoint runs the
-//! serial executor. This binary collects every indirect-jump block of a
+//! indirect jumps across a rayon pool while each fixpoint runs
+//! serially. This binary collects every indirect-jump block of a
 //! switch-heavy `pba-gen` workload and sweeps the `PBA_THREADS` ladder
 //! over the whole-binary re-slicing pass, printing wall times, speedups
 //! and the classification tally (forms / bounds / widenings) so the
@@ -15,7 +15,7 @@
 
 use pba_bench::report::{secs, Table};
 use pba_bench::workloads::{sweep_threads, time_median, workload};
-use pba_dataflow::{collect_indirect_jumps, slice_indirect_jump_with, BinaryIr, ExecutorKind};
+use pba_dataflow::{collect_indirect_jumps, slice_indirect_jump, BinaryIr};
 use pba_gen::Profile;
 use rayon::prelude::*;
 
@@ -31,7 +31,7 @@ fn main() {
     // One decode-once IR for the whole sweep: the timed loops measure
     // slicing, not per-jump re-decoding.
     let ir = BinaryIr::build(&cfg, avail);
-    let slice_all = |threads: usize, exec: ExecutorKind| -> (usize, usize, usize) {
+    let slice_all = |threads: usize| -> (usize, usize, usize) {
         let pool =
             rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("slice pool");
         let tallies: Vec<(usize, usize, usize)> = pool.install(|| {
@@ -39,7 +39,7 @@ fn main() {
                 .par_iter()
                 .map(|&(func, block)| {
                     let fir = ir.func(func).expect("function IR");
-                    match slice_indirect_jump_with(fir, block, exec) {
+                    match slice_indirect_jump(fir, block) {
                         Some(o) => (
                             usize::from(o.facts.iter().any(|p| p.form.is_some())),
                             usize::from(o.facts.iter().any(|p| p.bound.is_some())),
@@ -53,12 +53,7 @@ fn main() {
         tallies.into_iter().fold((0, 0, 0), |a, t| (a.0 + t.0, a.1 + t.1, a.2 + t.2))
     };
 
-    let (forms, bounds, widened) = slice_all(1, ExecutorKind::Serial);
-    assert_eq!(
-        (forms, bounds, widened),
-        slice_all(1, ExecutorKind::Parallel(0)),
-        "executors must agree on the classification tally"
-    );
+    let (forms, bounds, widened) = slice_all(1);
     println!(
         "Jump-table slice sweep: Server-class binary, {} functions, {} indirect jumps\n\
          ({} classified, {} with a guard bound, {} widened past MAX_PATHS)\n",
@@ -71,34 +66,26 @@ fn main() {
 
     let reps = 3;
     let baseline = time_median(reps, || {
-        std::hint::black_box(slice_all(1, ExecutorKind::Serial));
+        std::hint::black_box(slice_all(1));
     });
 
-    let mut table = Table::new(&["threads", "serial exec", "speedup", "parallel exec", "speedup"]);
+    let mut table = Table::new(&["threads", "time", "speedup"]);
     for threads in sweep_threads() {
+        let tally = slice_all(threads);
+        assert_eq!(
+            tally,
+            (forms, bounds, widened),
+            "the classification tally must not depend on the thread count"
+        );
         let t = time_median(reps, || {
-            std::hint::black_box(slice_all(threads, ExecutorKind::Serial));
+            std::hint::black_box(slice_all(threads));
         });
-        // Within-fixpoint parallelism: each jump's SliceSpec runs the
-        // round-based executor on the ambient (stealing) pool.
-        let tp = time_median(reps, || {
-            std::hint::black_box(slice_all(threads, ExecutorKind::Parallel(0)));
-        });
-        table.row(vec![
-            threads.to_string(),
-            secs(t),
-            format!("{:.2}x", baseline / t),
-            secs(tp),
-            format!("{:.2}x", baseline / tp),
-        ]);
+        table.row(vec![threads.to_string(), secs(t), format!("{:.2}x", baseline / t)]);
     }
     println!("{}", table.render());
     println!(
-        "baseline (1 thread, serial executor): {}; each jump runs the \
-         engine-backed SliceSpec fixpoint — the serial-exec column fans \
-         jumps across the pool, the parallel-exec column additionally \
-         runs each fixpoint's rounds on it (executors agree by the \
-         slice_equiv test)",
+        "baseline (1 thread): {}; each jump runs the engine-backed \
+         SliceSpec fixpoint, and the pool fans jumps across its workers",
         secs(baseline)
     );
 }

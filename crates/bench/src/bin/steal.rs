@@ -5,26 +5,18 @@
 //! statically-chunked pool. This binary measures exactly that, on the
 //! `pba-gen` `Skewed` profile (one multi-thousand-block function among
 //! hundreds of tiny ones), running the three standard per-function
-//! analyses three ways at each thread count:
+//! analyses over one shared `BinaryIr` two ways at each thread count:
 //!
 //! * **static** — contiguous chunks of the size-sorted function list,
 //!   one thread per chunk, no redistribution: the discipline the
 //!   pre-refactor rayon shim imposed (the worst case lands the giant
 //!   plus the next-largest functions on one thread);
-//! * **stealing** — [`pba_dataflow::run_per_function`] on the
-//!   deque-based work-stealing pool (serial per-function executor);
-//! * **auto** — the same fan-out with [`ExecutorKind::Auto`], which
-//!   additionally runs the giant's fixpoints on the barrier-free async
-//!   executor so idle workers can steal *within* it;
-//! * **async** — every function's fixpoints on
-//!   [`ExecutorKind::Async`], the worst case for per-task overhead
-//!   (hundreds of tiny functions paying the enqueue protocol).
+//! * **stealing** — [`pba_dataflow::run_all`] on the deque-based
+//!   work-stealing pool.
 //!
 //! Steal/execute/split counters from the pool (`rayon::stats`, backed
-//! by `pba_concurrent::stats::Counter`) are reported per row, and the
-//! async row reports the engine's own block-task counters
-//! (`pba_dataflow::engine::stats`: visits/enqueues/steals). On a 1-CPU
-//! container the rows show parity (the acceptance bar); with real
+//! by `pba_concurrent::stats::Counter`) are reported per row. On a
+//! 1-CPU container the rows show parity (the acceptance bar); with real
 //! cores the stealing rows pull ahead on this profile by construction.
 //!
 //! ```text
@@ -35,11 +27,7 @@
 use pba_bench::harness::run_static_chunked;
 use pba_bench::report::{secs, Table};
 use pba_bench::workloads::{time_median, workload};
-use pba_dataflow::engine::stats as engine_stats;
-use pba_dataflow::{
-    auto_block_threshold, liveness_on, reaching_defs_on, run_all_with, stack_heights_on,
-    ExecutorKind, FuncIr,
-};
+use pba_dataflow::{liveness_on, reaching_defs_on, run_all, stack_heights_on, BinaryIr, FuncIr};
 use pba_gen::Profile;
 
 /// Thread ladder: `PBA_STEAL_THREADS`/`PBA_THREADS`, else the issue's
@@ -59,24 +47,22 @@ fn steal_threads() -> Vec<usize> {
 }
 
 /// The per-function work both schedulers distribute: the three standard
-/// analyses under the serial executor (what `run_all_with` does inside
-/// its closure), off a freshly built per-function IR (matching the
-/// stealing rows, which also build one inside `run_per_function`).
-fn analyze(cfg: &pba_cfg::Cfg, f: &pba_cfg::Function) {
-    let ir = FuncIr::build(cfg, f);
+/// analyses (what `run_all` does inside its closure) over the
+/// function's shared IR.
+fn analyze(ir: &FuncIr) {
     let graph = ir.graph();
-    std::hint::black_box(liveness_on(&ir, graph, ExecutorKind::Serial));
-    std::hint::black_box(reaching_defs_on(&ir, graph, ExecutorKind::Serial));
-    std::hint::black_box(stack_heights_on(&ir, graph, ExecutorKind::Serial));
+    std::hint::black_box(liveness_on(ir, graph));
+    std::hint::black_box(reaching_defs_on(ir, graph));
+    std::hint::black_box(stack_heights_on(ir, graph));
 }
 
 /// Static baseline: size-sorted list split into contiguous chunks by
 /// the shared harness (`pba_bench::harness::run_static_chunked`) — the
 /// giant's chunk finishes last, everyone else idles.
-fn static_chunked(cfg: &pba_cfg::Cfg, threads: usize) {
-    let mut funcs: Vec<&pba_cfg::Function> = cfg.functions.values().collect();
-    funcs.sort_by_key(|f| std::cmp::Reverse(f.blocks.len()));
-    run_static_chunked(&funcs, threads, |f| analyze(cfg, f));
+fn static_chunked(ir: &BinaryIr, threads: usize) {
+    let mut funcs: Vec<&FuncIr> = ir.funcs().collect();
+    funcs.sort_by_key(|f| std::cmp::Reverse(f.blocks().len()));
+    run_static_chunked(&funcs, threads, |f| analyze(f));
 }
 
 fn main() {
@@ -85,81 +71,49 @@ fn main() {
     let input = pba_parse::ParseInput::from_elf(&elf).expect(".text present");
     let avail = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let cfg = pba_parse::parse_parallel(&input, avail).cfg;
+    let ir = BinaryIr::build(&cfg, avail);
 
     let blocks: usize = cfg.functions.values().map(|f| f.blocks.len()).sum();
     let giant = cfg.functions.values().map(|f| f.blocks.len()).max().unwrap_or(0);
     println!(
         "Steal sweep: Skewed-class binary, {} functions, {} member blocks\n\
-         (largest function: {} blocks — {} the Auto threshold of {}; {} available cores)\n",
+         (largest function: {} blocks; {} available cores)\n",
         cfg.functions.len(),
         blocks,
         giant,
-        if giant >= auto_block_threshold() { "past" } else { "below" },
-        auto_block_threshold(),
         avail
     );
 
     let reps = 3;
-    let baseline = time_median(reps, || static_chunked(&cfg, 1));
+    let baseline = time_median(reps, || static_chunked(&ir, 1));
 
     let mut table = Table::new(&[
-        "threads",
-        "static",
-        "speedup",
-        "stealing",
-        "speedup",
-        "auto exec",
-        "speedup",
-        "async exec",
-        "speedup",
-        "steals",
-        "splits",
-        "executed",
-        "visits/enq/stolen",
+        "threads", "static", "speedup", "stealing", "speedup", "steals", "splits", "executed",
     ]);
     for threads in steal_threads() {
-        let t_static = time_median(reps, || static_chunked(&cfg, threads));
+        let t_static = time_median(reps, || static_chunked(&ir, threads));
         rayon::stats::reset();
         let t_steal = time_median(reps, || {
-            std::hint::black_box(run_all_with(&cfg, threads, ExecutorKind::Serial));
+            std::hint::black_box(run_all(&ir, threads));
         });
         let steals = rayon::stats::TASKS_STOLEN.get();
         let splits = rayon::stats::TASKS_SPLIT.get();
         let executed = rayon::stats::TASKS_EXECUTED.get();
-        let t_auto = time_median(reps, || {
-            std::hint::black_box(run_all_with(&cfg, threads, ExecutorKind::Auto));
-        });
-        engine_stats::reset();
-        let t_async = time_median(reps, || {
-            std::hint::black_box(run_all_with(&cfg, threads, ExecutorKind::Async(0)));
-        });
-        let visits = engine_stats::VISITS.get() / reps as u64;
-        let enqueued = engine_stats::ASYNC_ENQUEUED.get() / reps as u64;
-        let stolen = engine_stats::ASYNC_STOLEN.get() / reps as u64;
         table.row(vec![
             threads.to_string(),
             secs(t_static),
             format!("{:.2}x", baseline / t_static),
             secs(t_steal),
             format!("{:.2}x", baseline / t_steal),
-            secs(t_auto),
-            format!("{:.2}x", baseline / t_auto),
-            secs(t_async),
-            format!("{:.2}x", baseline / t_async),
             steals.to_string(),
             splits.to_string(),
             executed.to_string(),
-            format!("{visits}/{enqueued}/{stolen}"),
         ]);
     }
     println!("{}", table.render());
     println!(
         "baseline (1 thread, static): {}; pool counters cover the {reps} \
-         stealing-row reps (serial per-function executor); 'auto exec' \
-         switches functions with >= {} blocks (PBA_AUTO_THRESHOLD) to the \
-         barrier-free async executor; the async row's visits/enq/stolen are \
-         per-run block-task counters from the engine",
-        secs(baseline),
-        auto_block_threshold()
+         stealing-row reps",
+        secs(baseline)
     );
 }

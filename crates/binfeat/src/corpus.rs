@@ -75,7 +75,6 @@ pub fn analyze_corpus_with<E>(
 mod tests {
     use super::*;
     use crate::features::extract_cfg_features;
-    use pba_dataflow::ExecutorKind;
     use pba_gen::{generate, GenConfig};
     use pba_parse::{parse_parallel, ParseInput};
 
@@ -98,7 +97,7 @@ mod tests {
         let input = ParseInput::from_elf(&elf).map_err(|e| e.to_string())?;
         let parsed = parse_parallel(&input, threads);
         let ir = pba_dataflow::BinaryIr::build(&parsed.cfg, threads);
-        let mut bf = extract_cfg_features(&parsed.cfg, &ir, threads, ExecutorKind::Serial);
+        let mut bf = extract_cfg_features(&parsed.cfg, &ir, threads);
         bf.t_cfg = 1e-9; // caller-owned slot; nonzero so totals include it
         Ok(bf)
     }

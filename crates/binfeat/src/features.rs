@@ -2,7 +2,7 @@
 
 use pba_cfg::{Cfg, EdgeKind, Function};
 use pba_concurrent::fxhash::FxBuildHasher;
-use pba_dataflow::{liveness_on, BinaryIr, CfgView, ExecutorKind, FuncIr};
+use pba_dataflow::{liveness_on, BinaryIr, CfgView, FuncIr};
 use pba_loops::loop_forest_on;
 use rayon::prelude::*;
 use std::collections::HashMap;
@@ -93,13 +93,13 @@ pub fn control_flow_features(cfg: &Cfg, ir: &FuncIr, out: &mut Vec<u64>) {
 /// Data-flow features: live-register counts at block entries.
 pub fn data_flow_features(cfg: &Cfg, f: &Function, out: &mut Vec<u64>) {
     let ir = FuncIr::build(cfg, f);
-    let live = liveness_on(&ir, ir.graph(), ExecutorKind::Serial);
+    let live = liveness_on(&ir, ir.graph());
     data_flow_features_from(&ir, &live, out);
 }
 
 /// [`data_flow_features`] from a precomputed liveness result — the shape
 /// [`extract_cfg_features`] uses so the whole-binary engine driver
-/// (`pba_dataflow::run_per_function_ir`) computes each function's
+/// (`pba_dataflow::run_per_function`) computes each function's
 /// analyses exactly once, over the shared decode-once arena.
 pub fn data_flow_features_from(
     ir: &FuncIr,
@@ -120,9 +120,8 @@ pub fn data_flow_features_from(
 
 /// Extract all three feature families from an already-constructed CFG
 /// and its shared decode-once [`BinaryIr`], timing each stage
-/// separately. `threads` sizes the rayon pool (0 = all available),
-/// `exec` picks the per-function dataflow executor, and the stage
-/// structure mirrors Listing 7 (parallel `for schedule(dynamic)` over
+/// separately. `threads` sizes the rayon pool (0 = all available), and
+/// the stage structure mirrors Listing 7 (parallel `for schedule(dynamic)` over
 /// size-sorted functions with a reduction). No stage decodes an
 /// instruction: every read is a borrow of the IR's arenas.
 ///
@@ -131,12 +130,7 @@ pub fn data_flow_features_from(
 /// with the time it spent obtaining the artifacts (≈0 when another
 /// consumer already paid — the amortization the session exists to
 /// provide).
-pub fn extract_cfg_features(
-    cfg: &Cfg,
-    ir: &BinaryIr,
-    threads: usize,
-    exec: ExecutorKind,
-) -> BinaryFeatures {
+pub fn extract_cfg_features(cfg: &Cfg, ir: &BinaryIr, threads: usize) -> BinaryFeatures {
     let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
 
     let mut res = BinaryFeatures::default();
@@ -177,8 +171,8 @@ pub fn extract_cfg_features(
     // no per-function analysis state is retained for the stage's
     // duration and the function list is walked once, not twice.
     let t = Instant::now();
-    let df_features = pba_dataflow::run_per_function_ir(ir, threads, |fir| {
-        let live = liveness_on(fir, fir.graph(), exec);
+    let df_features = pba_dataflow::run_per_function(ir, threads, |fir| {
+        let live = liveness_on(fir, fir.graph());
         let mut v = Vec::new();
         data_flow_features_from(fir, &live, &mut v);
         v
@@ -210,7 +204,7 @@ mod tests {
         let input = ParseInput::from_elf(&elf).unwrap();
         let parsed = parse_parallel(&input, threads);
         let ir = pba_dataflow::BinaryIr::build(&parsed.cfg, threads);
-        extract_cfg_features(&parsed.cfg, &ir, threads, ExecutorKind::Serial)
+        extract_cfg_features(&parsed.cfg, &ir, threads)
     }
 
     #[test]

@@ -260,7 +260,6 @@ mod tests {
     use super::*;
     use crate::features::extract_cfg_features;
     use crate::similarity::rank_topk;
-    use pba_dataflow::ExecutorKind;
     use pba_gen::{generate, GenConfig};
     use pba_parse::{parse_parallel, ParseInput};
 
@@ -277,7 +276,7 @@ mod tests {
         let input = ParseInput::from_elf(&elf).unwrap();
         let parsed = parse_parallel(&input, 1);
         let ir = pba_dataflow::BinaryIr::build(&parsed.cfg, 1);
-        extract_cfg_features(&parsed.cfg, &ir, 1, ExecutorKind::Serial).index
+        extract_cfg_features(&parsed.cfg, &ir, 1).index
     }
 
     #[test]

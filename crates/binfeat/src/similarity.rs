@@ -85,7 +85,6 @@ pub fn rank_topk(query: &FeatureIndex, corpus: &[FeatureIndex], k: usize) -> Vec
 mod tests {
     use super::*;
     use crate::features::extract_cfg_features;
-    use pba_dataflow::ExecutorKind;
     use pba_gen::{generate, GenConfig};
     use pba_parse::{parse_parallel, ParseInput};
 
@@ -100,7 +99,7 @@ mod tests {
         let input = ParseInput::from_elf(&elf).unwrap();
         let parsed = parse_parallel(&input, 1);
         let ir = pba_dataflow::BinaryIr::build(&parsed.cfg, 1);
-        extract_cfg_features(&parsed.cfg, &ir, 1, ExecutorKind::Serial).index
+        extract_cfg_features(&parsed.cfg, &ir, 1).index
     }
 
     #[test]

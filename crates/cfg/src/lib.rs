@@ -26,13 +26,11 @@
 //!   their per-block storage by rank into plain `Vec`s instead of
 //!   addr-keyed hash maps (the memory plane's ID scheme).
 
-pub mod callgraph;
 pub mod index;
 pub mod model;
 pub mod ops;
 pub mod order;
 
-pub use callgraph::CallGraph;
 pub use index::BlockIndex;
 pub use model::{Block, Cfg, CodeRegion, Edge, EdgeKind, Function, RetStatus};
 pub use ops::{AbsGraph, CodeOracle, SyntheticCode};

@@ -16,7 +16,7 @@
 
 //! It also hosts the *traversal* orders: [`postorder`] /
 //! [`reverse_postorder`] over any successor relation, which the dataflow
-//! engine's serial executor uses as its worklist priority.
+//! engine's fixpoint uses as its worklist priority.
 
 use crate::model::EdgeKind;
 use crate::ops::{AbsEdge, AbsGraph};

@@ -21,29 +21,15 @@
 //! The crate also provides the small supporting cast used across the
 //! workspace: a fast integer-friendly hasher ([`fxhash`]), a concurrent
 //! monotonic counter set for machine-independent work metrics ([`stats`]),
-//! a lock-striped integer set ([`AddressSet`]) used for visited-address
-//! tracking, and a block-or-share lazy cell ([`Memo`]) that memoizes a
-//! session's analysis artifacts exactly once across threads.
-//!
-//! The barrier-free dataflow executor rests on two primitives here:
-//! [`FactSlots`], striped-lock published-fact slots whose readers never
-//! observe a torn value (stale is safe under monotonicity, torn is
-//! not), and [`TaskSet`], the per-task enqueued/claimed state bits plus
-//! in-flight counter that give a dequeue-based worklist single
-//! residency, lossless re-signaling, and a stable termination signal.
+//! and a block-or-share lazy cell ([`Memo`]) that memoizes a session's
+//! analysis artifacts exactly once across threads.
 
 pub mod chm;
 pub mod fxhash;
-pub mod iset;
 pub mod memo;
-pub mod slots;
 pub mod stats;
-pub mod taskset;
 
 pub use chm::{ConcurrentHashMap, MapStats, ReadAccessor, WriteAccessor};
 pub use fxhash::{fx_hash_u64, FxBuildHasher, FxHasher};
-pub use iset::AddressSet;
 pub use memo::Memo;
-pub use slots::FactSlots;
 pub use stats::Counter;
-pub use taskset::TaskSet;

@@ -5,7 +5,7 @@
 //! concurrent caller *blocks* until the value is ready, and from then on
 //! all callers *share* the one computed value by reference. The cell
 //! never recomputes — "computed at most once" is the whole contract —
-//! and a [`Counter`] records how many computations actually ran so
+//! and a [`Counter`] records how many computations finished so
 //! callers can assert the contract (the session bench reports it as its
 //! parse-count column).
 
@@ -41,11 +41,14 @@ impl<T> Memo<T> {
 
     /// Return the memoized value, computing it with `f` if this is the
     /// first call. Concurrent callers block until the winner's `f`
-    /// finishes, then share the same reference.
+    /// finishes, then share the same reference. A compute that panics
+    /// is not counted and leaves the cell empty, so the next call runs
+    /// its own closure.
     pub fn get_or_compute(&self, f: impl FnOnce() -> T) -> &T {
         self.cell.get_or_init(|| {
+            let value = f();
             self.computes.inc();
-            f()
+            value
         })
     }
 
@@ -61,8 +64,8 @@ impl<T> Memo<T> {
         self.cell.into_inner()
     }
 
-    /// How many times a compute closure actually ran (0 or 1 once the
-    /// cell has quiesced; the memoization tests assert exactly this).
+    /// How many compute closures finished (0 or 1 once the cell has
+    /// quiesced; the memoization tests assert exactly this).
     pub fn computes(&self) -> u64 {
         self.computes.get()
     }
@@ -81,6 +84,19 @@ mod tests {
         assert_eq!(*m.get_or_compute(|| 42), 42);
         assert_eq!(*m.get_or_compute(|| 7), 42, "second closure must not run");
         assert_eq!(m.get(), Some(&42));
+        assert_eq!(m.computes(), 1);
+    }
+
+    #[test]
+    fn panicking_compute_is_not_counted() {
+        let m: Memo<u64> = Memo::new();
+        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            m.get_or_compute(|| panic!("compute failed"));
+        }));
+        assert!(r.is_err());
+        assert!(m.get().is_none(), "a panic leaves the cell empty");
+        assert_eq!(m.computes(), 0, "a panicking compute did not finish");
+        assert_eq!(*m.get_or_compute(|| 3), 3, "the next call computes");
         assert_eq!(m.computes(), 1);
     }
 

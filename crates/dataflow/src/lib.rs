@@ -69,19 +69,16 @@
 //!
 //! The fixpoint machinery itself lives in [`engine`]: analyses describe
 //! themselves as a [`engine::DataflowSpec`] (direction, lattice bottom,
-//! boundary fact, meet, block transfer) and an executor drives the
-//! worklist — [`engine::SerialExecutor`] with a reverse-postorder
-//! priority queue, [`engine::ParallelExecutor`] with a round-based
-//! rayon worklist, or [`engine::AsyncExecutor`] with a barrier-free
-//! per-block worklist on work-stealing deques (stale reads tolerated by
-//! monotonicity, torn reads prevented by `pba-concurrent`'s striped
-//! fact slots). Monotone specs over finite lattices have a unique
-//! least fixpoint, so the three executors return identical results by
-//! construction (property-tested in `tests/engine_equiv.rs`). Liveness,
-//! reaching definitions and stack height are all spec'd this way;
-//! [`engine::run_all`] fans all three across the functions of a
-//! finalized CFG on a sized rayon pool — the paper's "parallel analysis
-//! over a read-only CFG" phase.
+//! boundary fact, meet, block transfer) and [`engine::fixpoint`] drives
+//! a priority worklist in reverse postorder to the least fixpoint.
+//! Monotone specs over finite lattices have a unique least fixpoint, so
+//! the engine reproduces the bespoke per-analysis loops it replaced
+//! (property-tested in `tests/engine_equiv.rs`). Liveness, reaching
+//! definitions and stack height are all spec'd this way. Each function's
+//! fixpoint is serial; [`engine::run_all`] fans all three analyses
+//! across the functions of a [`ir::BinaryIr`] on a sized rayon pool,
+//! largest first — the paper's "parallel analysis over a read-only CFG"
+//! phase.
 
 pub mod engine;
 pub mod expr;
@@ -93,20 +90,18 @@ pub mod stack;
 pub mod view;
 
 pub use engine::{
-    auto_block_threshold, run_all, run_all_ir, run_all_with, run_per_function, run_per_function_ir,
-    AsyncExecutor, DataflowExecutor, DataflowResults, DataflowSpec, Direction, ExecutorKind,
-    FlowGraph, FuncAnalyses, ParallelExecutor, SerialExecutor, AUTO_BLOCK_THRESHOLD,
+    fixpoint, run_all, run_per_function, DataflowResults, DataflowSpec, Direction, FlowGraph,
+    FuncAnalyses,
 };
 pub use expr::Expr;
 pub use ir::{BinaryIr, BlockSummary, FuncIr};
-pub use liveness::{liveness, liveness_on, liveness_with, LivenessResult};
-pub use reaching::{reaching_defs, reaching_defs_on, reaching_defs_with, Def, ReachingDefs};
+pub use liveness::{liveness, liveness_on, LivenessResult};
+pub use reaching::{reaching_defs, reaching_defs_on, Def, ReachingDefs};
 pub use slice::{
-    analyze_indirect_jump, collect_indirect_jumps, slice_indirect_jump, slice_indirect_jump_with,
-    JumpTableForm, PathFact, PathSet, PathState, SliceOutcome, SliceSpec,
+    analyze_indirect_jump, collect_indirect_jumps, slice_indirect_jump, JumpTableForm, PathFact,
+    PathSet, PathState, SliceOutcome, SliceSpec,
 };
 pub use stack::{
-    stack_heights, stack_heights_and_extent, stack_heights_and_extent_on, stack_heights_on,
-    stack_heights_with, Height, StackResult,
+    stack_heights, stack_heights_and_extent_on, stack_heights_on, Height, StackResult,
 };
 pub use view::{CfgView, VecView};

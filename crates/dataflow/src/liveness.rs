@@ -4,7 +4,7 @@
 //! at a point if some path to a use avoids an intervening definition.
 //! Block-level transfer functions are precomputed (`gen`/`kill` masks)
 //! into a [`LivenessSpec`]; the fixpoint itself is the generic engine's
-//! ([`crate::engine`]), so liveness runs under either executor.
+//! ([`crate::engine`]).
 //! [`RegSet`] facts are `Copy`, so with the engine's scratch-fact loop a
 //! liveness fixpoint performs no per-visit allocation at all.
 //!
@@ -13,7 +13,7 @@
 //! * at a call: argument registers are considered used and caller-saved
 //!   registers killed (the callee may clobber them).
 
-use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
+use crate::engine::{fixpoint, DataflowSpec, Direction, FlowGraph};
 use crate::view::CfgView;
 use pba_cfg::BlockIndex;
 use pba_isa::{ControlFlow, Reg, RegSet};
@@ -152,22 +152,17 @@ impl DataflowSpec for LivenessSpec {
     // allocation-free, no override needed.
 }
 
-/// Run liveness over one function (serial executor).
+/// Run liveness over one function.
 pub fn liveness(view: &dyn CfgView) -> LivenessResult {
-    liveness_with(view, ExecutorKind::Serial)
+    liveness_on(view, &FlowGraph::build(view))
 }
 
-/// Run liveness over one function with an explicit executor.
-pub fn liveness_with(view: &dyn CfgView, exec: ExecutorKind) -> LivenessResult {
-    liveness_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`liveness_with`] over a prebuilt [`FlowGraph`] (so whole-binary
+/// [`liveness`] over a prebuilt [`FlowGraph`] (so whole-binary
 /// drivers can share one graph — and its memoized RPO ranks — across
 /// all analyses; [`crate::ir::FuncIr::graph`] is that graph).
-pub fn liveness_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> LivenessResult {
+pub fn liveness_on(view: &dyn CfgView, graph: &FlowGraph) -> LivenessResult {
     let spec = LivenessSpec::build(view);
-    let r = exec.run(&spec, graph);
+    let r = fixpoint(&spec, graph);
     // Direction-relative input is the block's live-out set.
     let (blocks, index, live_out, live_in) = r.into_dense();
     LivenessResult { blocks, index, live_in, live_out }

@@ -10,7 +10,7 @@
 //! [`DataflowSpec::transfer_into`] writes the bit vector in place, so
 //! the engine's fixpoint loop allocates nothing per visit.
 
-use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
+use crate::engine::{fixpoint, DataflowSpec, Direction, FlowGraph};
 use crate::view::CfgView;
 use pba_cfg::BlockIndex;
 use pba_isa::Reg;
@@ -280,22 +280,17 @@ impl DataflowSpec for ReachingSpec {
     }
 }
 
-/// Run reaching definitions over one function (serial executor).
+/// Run reaching definitions over one function.
 pub fn reaching_defs(view: &dyn CfgView) -> ReachingDefs {
-    reaching_defs_with(view, ExecutorKind::Serial)
+    reaching_defs_on(view, &FlowGraph::build(view))
 }
 
-/// Run reaching definitions over one function with an explicit executor.
-pub fn reaching_defs_with(view: &dyn CfgView, exec: ExecutorKind) -> ReachingDefs {
-    reaching_defs_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`reaching_defs_with`] over a prebuilt [`FlowGraph`] (so whole-binary
+/// [`reaching_defs`] over a prebuilt [`FlowGraph`] (so whole-binary
 /// drivers can share one graph — and its memoized RPO ranks — across
 /// all analyses; [`crate::ir::FuncIr::graph`] is that graph).
-pub fn reaching_defs_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> ReachingDefs {
+pub fn reaching_defs_on(view: &dyn CfgView, graph: &FlowGraph) -> ReachingDefs {
     let spec = ReachingSpec::build(view);
-    let r = exec.run(&spec, graph);
+    let r = fixpoint(&spec, graph);
     let (blocks, index, reach_in, _out) = r.into_dense();
     ReachingDefs { defs: spec.defs, def_ids: spec.def_ids, blocks, index, reach_in }
 }

@@ -23,10 +23,8 @@
 //! at [`MAX_DEPTH`] edge crossings, termination is unconditional.
 //!
 //! [`analyze_indirect_jump`] is a thin wrapper that builds the
-//! [`SliceSpec`], runs it under the [`crate::engine::SerialExecutor`]
-//! (see [`slice_indirect_jump_with`] for an explicit executor — the
-//! spec is executor-agnostic), and reads the per-path facts back out
-//! of the block boundaries.
+//! [`SliceSpec`], runs it to the engine's [`crate::engine::fixpoint`],
+//! and reads the per-path facts back out of the block boundaries.
 
 use crate::engine::{DataflowResults, DataflowSpec, Direction, FlowGraph};
 use crate::expr::Expr;
@@ -367,11 +365,11 @@ pub struct SliceSpec<'a> {
     /// it keeps widening. Widening shrinks a fact (non-monotone), so
     /// without stickiness a cyclic CFG straddling [`MAX_PATHS`] could
     /// oscillate between widened and unwidened fixpoint candidates and
-    /// the executor's worklist would never drain. Sticky widening means
+    /// the engine's worklist would never drain. Sticky widening means
     /// each block takes the one non-monotone step at most once; between
     /// and after those finitely many events the system is monotone, so
     /// the fixpoint iteration terminates.
-    widened_blocks: std::sync::Mutex<std::collections::HashSet<u64>>,
+    widened_blocks: std::cell::RefCell<std::collections::HashSet<u64>>,
 }
 
 impl<'a> SliceSpec<'a> {
@@ -419,7 +417,7 @@ impl<'a> SliceSpec<'a> {
             jump_block,
             seed,
             insns,
-            widened_blocks: std::sync::Mutex::new(std::collections::HashSet::new()),
+            widened_blocks: std::cell::RefCell::new(std::collections::HashSet::new()),
         })
     }
 
@@ -467,7 +465,7 @@ impl<'a> SliceSpec<'a> {
     /// Whether any block's transfer widened during the run (the sticky
     /// set is the single source of truth for widening).
     pub fn any_widened(&self) -> bool {
-        !self.widened_blocks.lock().expect("widened_blocks").is_empty()
+        !self.widened_blocks.borrow().is_empty()
     }
 }
 
@@ -505,14 +503,12 @@ impl DataflowSpec for SliceSpec<'_> {
         // exceeded MAX_PATHS keeps widening even if its input later
         // shrinks, so the one output-shrinking step happens at most
         // once per block and the fixpoint cannot oscillate.
-        {
-            let mut sticky = self.widened_blocks.lock().expect("widened_blocks");
-            if sticky.contains(&block) || out.states.len() > MAX_PATHS {
-                sticky.insert(block);
-                drop(sticky);
-                out.widen();
-            }
+        let mut sticky = self.widened_blocks.borrow_mut();
+        if sticky.contains(&block) || out.states.len() > MAX_PATHS {
+            sticky.insert(block);
+            out.widen();
         }
+        drop(sticky);
         if block == self.jump_block {
             // The seed joins after widening: the jump block's own state
             // is the anchor of the whole analysis and must survive even
@@ -555,34 +551,16 @@ pub struct SliceOutcome {
 /// `jump_block`. Returns `None` if the terminator is not an indirect
 /// jump.
 pub fn slice_indirect_jump(view: &dyn CfgView, jump_block: u64) -> Option<SliceOutcome> {
-    slice_indirect_jump_with(view, jump_block, crate::engine::ExecutorKind::Serial)
-}
-
-/// [`slice_indirect_jump`] under an explicit executor. Below
-/// [`MAX_PATHS`] the spec is monotone, so both executors reach the same
-/// fixpoint by construction. Widening is the caveat: whether a block
-/// ever sees an input big enough to trip its sticky bit depends on
-/// which *intermediate* predecessor outputs the schedule publishes, so
-/// executor agreement on widening-heavy graphs is an empirical
-/// property, not an a-priori one — `tests/slice_equiv.rs` pins it on
-/// the generated corpus and on a fan-out that widens, and both
-/// executors are individually deterministic, so any divergence shows
-/// up as a hard test failure rather than a flake.
-pub fn slice_indirect_jump_with(
-    view: &dyn CfgView,
-    jump_block: u64,
-    exec: crate::engine::ExecutorKind,
-) -> Option<SliceOutcome> {
     let spec = SliceSpec::build(view, jump_block)?;
     let graph = spec.cone_graph(view);
-    let results = exec.run(&spec, &graph);
+    let results = crate::engine::fixpoint(&spec, &graph);
     Some(SliceOutcome { widened: spec.any_widened(), facts: spec.collect_facts(&results) })
 }
 
 /// Every `(function entry, jump block)` pair of a finalized CFG whose
 /// block terminator is an indirect branch — the work list a
 /// whole-binary slicing sweep fans out over (shared by the slice bench
-/// and the executor-equivalence tests). Sorted for determinism.
+/// and the slice-equivalence tests). Sorted for determinism.
 pub fn collect_indirect_jumps(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
     let mut jumps = Vec::new();
     for f in cfg.functions.values() {
@@ -602,7 +580,7 @@ pub fn collect_indirect_jumps(cfg: &pba_cfg::Cfg) -> Vec<(u64, u64)> {
 }
 
 /// Analyze the indirect jump terminating `jump_block`: a thin wrapper
-/// that runs [`SliceSpec`] under the [`crate::engine::SerialExecutor`] and unions the
+/// that runs [`SliceSpec`] to its [`crate::engine::fixpoint`] and unions the
 /// per-path facts arriving at every block boundary. Returns an empty
 /// vector if the terminator is not an indirect jump.
 pub fn analyze_indirect_jump(view: &dyn CfgView, jump_block: u64) -> Vec<PathFact> {
@@ -612,7 +590,7 @@ pub fn analyze_indirect_jump(view: &dyn CfgView, jump_block: u64) -> Vec<PathFac
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{DataflowExecutor, SerialExecutor};
+    use crate::engine::fixpoint;
     use crate::view::VecView;
     use pba_isa::x86::{decode_one, encode};
     use pba_isa::MemRef;
@@ -953,7 +931,7 @@ mod tests {
         // jump block's seed which joins after widening).
         let spec = SliceSpec::build(&view, 0x9000).expect("spec");
         let graph = spec.cone_graph(&view);
-        let results = SerialExecutor.run(&spec, &graph);
+        let results = fixpoint(&spec, &graph);
         for (b, fact) in results.iter_output() {
             assert!(
                 fact.states.len() <= MAX_PATHS + 2,

@@ -14,7 +14,7 @@
 //! [`CfgView`] — nothing is decoded or copied here, and [`Frame`] facts
 //! are `Copy`, so the fixpoint allocates nothing per visit.
 
-use crate::engine::{DataflowSpec, Direction, ExecutorKind, FlowGraph};
+use crate::engine::{fixpoint, DataflowSpec, Direction, FlowGraph};
 use crate::view::CfgView;
 use pba_cfg::BlockIndex;
 use pba_isa::{insn::AluKind, ControlFlow, Op, Place, Reg, Value};
@@ -217,47 +217,34 @@ impl DataflowSpec for StackSpec<'_> {
     // allocation-free, no override needed.
 }
 
-/// Run the forward fixpoint over one function (serial executor).
+/// Run the forward fixpoint over one function.
 pub fn stack_heights(view: &dyn CfgView) -> StackResult {
-    stack_heights_with(view, ExecutorKind::Serial)
+    stack_heights_on(view, &FlowGraph::build(view))
 }
 
-/// Run the forward fixpoint over one function with an explicit executor.
-pub fn stack_heights_with(view: &dyn CfgView, exec: ExecutorKind) -> StackResult {
-    stack_heights_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`stack_heights_with`] over a prebuilt [`FlowGraph`] (so whole-binary
+/// [`stack_heights`] over a prebuilt [`FlowGraph`] (so whole-binary
 /// drivers can share one graph — and its memoized RPO ranks — across
 /// all analyses; [`crate::ir::FuncIr::graph`] is that graph).
-pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph, exec: ExecutorKind) -> StackResult {
+pub fn stack_heights_on(view: &dyn CfgView, graph: &FlowGraph) -> StackResult {
     let spec = StackSpec::build(view);
-    let r = exec.run(&spec, graph);
+    let r = fixpoint(&spec, graph);
     let (blocks, index, at_entry, at_exit) = r.into_dense();
     StackResult { blocks, index, at_entry, at_exit }
 }
 
-/// Run the fixpoint and also report the function's maximum downward
-/// stack extent in bytes — the deepest `Known` height observed at any
-/// block boundary *or between instructions* (a single-block leaf's
-/// push/pop depth is invisible at block boundaries alone). Returns
-/// `None` when the analysis never bounds the height.
-pub fn stack_heights_and_extent(
-    view: &dyn CfgView,
-    exec: ExecutorKind,
-) -> (StackResult, Option<i64>) {
-    stack_heights_and_extent_on(view, &FlowGraph::build(view), exec)
-}
-
-/// [`stack_heights_and_extent`] over a prebuilt [`FlowGraph`]. With a
-/// [`crate::ir::FuncIr`] as the view this runs the fixpoint *and* the
-/// extent walk entirely over the shared decode-once arena.
+/// Run the fixpoint over a prebuilt [`FlowGraph`] and also report the
+/// function's maximum downward stack extent in bytes — the deepest
+/// `Known` height observed at any block boundary *or between
+/// instructions* (a single-block leaf's push/pop depth is invisible at
+/// block boundaries alone). Returns `None` when the analysis never
+/// bounds the height. With a [`crate::ir::FuncIr`] as the view this
+/// runs the fixpoint *and* the extent walk entirely over the shared
+/// decode-once arena.
 pub fn stack_heights_and_extent_on(
     view: &dyn CfgView,
     graph: &FlowGraph,
-    exec: ExecutorKind,
 ) -> (StackResult, Option<i64>) {
-    let res = stack_heights_on(view, graph, exec);
+    let res = stack_heights_on(view, graph);
 
     let mut min_known: Option<i64> = None;
     let mut note = |h: Height| {

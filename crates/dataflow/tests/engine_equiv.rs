@@ -1,34 +1,20 @@
 //! Engine equivalence properties, on randomized `pba-gen` binaries:
 //!
-//! 1. `SerialExecutor`, `ParallelExecutor`, and the barrier-free
-//!    `AsyncExecutor` (1/2/4/8 threads each) reach identical fixpoints
-//!    for all three analyses — the engine's central "interchangeable by
-//!    construction" claim; all executors drive the allocation-free
-//!    `transfer_into` path, so this also pins that the borrowed-view +
-//!    in-place engine is byte-identical to the reference fixpoints
-//!    (plus a directed Skewed-profile case, where one giant function
-//!    crosses the Auto threshold and exercises the async executor's
-//!    stealing on a deep propagation chain);
-//! 2. the engine reproduces the bespoke worklist loops byte-for-byte
-//!    (the original fixpoints are kept here as reference
-//!    implementations; the reaching-defs oracle carries the deliberate
-//!    gen-retraction fix — a later same-block redefinition now retracts
-//!    the earlier def's gen bits);
-//! 3. `run_all` agrees with per-function invocation, and the
-//!    `BinaryIr`-backed `run_all_ir` agrees with both.
+//! 1. the engine reproduces the bespoke worklist loops byte-for-byte
+//!    for all three analyses (the original fixpoints are kept here as
+//!    reference implementations; the reaching-defs oracle carries the
+//!    deliberate gen-retraction fix — a later same-block redefinition
+//!    now retracts the earlier def's gen bits), plus a directed
+//!    Skewed-profile case for liveness and stack heights, whose giant
+//!    function is thousands of blocks of deep diamond chains;
+//! 2. the whole-binary `run_all` over a `BinaryIr` agrees with
+//!    per-function invocation at every thread count.
 
-use pba_dataflow::engine::ExecutorKind;
-use pba_dataflow::{
-    liveness, liveness_with, reaching_defs, reaching_defs_with, stack_heights, stack_heights_with,
-    BinaryIr, CfgView, Def, FuncIr,
-};
+use pba_dataflow::{liveness, reaching_defs, stack_heights, BinaryIr, CfgView, Def, FuncIr};
 use pba_gen::{generate, GenConfig};
 use pba_isa::{ControlFlow, Reg, RegSet};
 use proptest::prelude::*;
 use std::collections::HashMap;
-
-/// Thread counts the parallel executor is swept over.
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 fn arb_config() -> impl Strategy<Value = GenConfig> {
     (any::<u64>(), 6usize..24, 0.0f64..0.5, 0.0f64..0.2, 0.0f64..0.2, 0.0f64..0.25).prop_map(
@@ -207,8 +193,8 @@ fn reference_reaching(view: &dyn CfgView) -> HashMap<u64, Vec<Def>> {
 }
 
 proptest! {
-    // Each case parses a binary and runs 3 analyses × 6 configurations
-    // over every function; keep the count moderate.
+    // Each case parses a binary and runs 3 analyses and their legacy
+    // loops over every function; keep the count moderate.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
@@ -226,16 +212,6 @@ proptest! {
                 prop_assert_eq!(serial.live_in(b), ref_in[&b], "engine liveness != legacy ({})", f.name);
                 prop_assert_eq!(serial.live_out(b), ref_out[&b]);
             }
-            for t in THREADS {
-                let par = liveness_with(&view, ExecutorKind::Parallel(t));
-                let asy = liveness_with(&view, ExecutorKind::Async(t));
-                for &b in view.blocks() {
-                    prop_assert_eq!(par.live_in(b), serial.live_in(b), "liveness in, {} threads", t);
-                    prop_assert_eq!(par.live_out(b), serial.live_out(b), "liveness out, {} threads", t);
-                    prop_assert_eq!(asy.live_in(b), serial.live_in(b), "async liveness in, {} threads", t);
-                    prop_assert_eq!(asy.live_out(b), serial.live_out(b), "async liveness out, {} threads", t);
-                }
-            }
 
             // --- stack heights ---
             let serial = stack_heights(&view);
@@ -243,16 +219,6 @@ proptest! {
             for &b in view.blocks() {
                 prop_assert_eq!(serial.entry_frame(b), Some(ref_entry[&b]), "engine stack != legacy ({})", f.name);
                 prop_assert_eq!(serial.exit_frame(b), Some(ref_exit[&b]));
-            }
-            for t in THREADS {
-                let par = stack_heights_with(&view, ExecutorKind::Parallel(t));
-                let asy = stack_heights_with(&view, ExecutorKind::Async(t));
-                for &b in view.blocks() {
-                    prop_assert_eq!(par.entry_frame(b), serial.entry_frame(b), "stack entry, {} threads", t);
-                    prop_assert_eq!(par.exit_frame(b), serial.exit_frame(b), "stack exit, {} threads", t);
-                    prop_assert_eq!(asy.entry_frame(b), serial.entry_frame(b), "async stack entry, {} threads", t);
-                    prop_assert_eq!(asy.exit_frame(b), serial.exit_frame(b), "async stack exit, {} threads", t);
-                }
             }
 
             // --- reaching definitions ---
@@ -267,62 +233,39 @@ proptest! {
                     prop_assert!(serial.def_reaches_entry(b, *d));
                 }
             }
-            for t in THREADS {
-                let par = reaching_defs_with(&view, ExecutorKind::Parallel(t));
-                let asy = reaching_defs_with(&view, ExecutorKind::Async(t));
-                prop_assert_eq!(&par.defs, &serial.defs);
-                prop_assert_eq!(&asy.defs, &serial.defs);
-                for &b in &f.blocks {
-                    let mut a = par.reaching_at_entry(b);
-                    let mut y = asy.reaching_at_entry(b);
-                    let mut s = serial.reaching_at_entry(b);
-                    a.sort_unstable();
-                    y.sort_unstable();
-                    s.sort_unstable();
-                    prop_assert_eq!(&a, &s, "reaching, {} threads", t);
-                    prop_assert_eq!(&y, &s, "async reaching, {} threads", t);
-                }
-            }
         }
     }
 
     #[test]
-    fn run_all_and_run_all_ir_match_per_function_results(cfg in arb_config()) {
+    fn run_all_matches_per_function_results(cfg in arb_config()) {
         let cfg_graph = parsed_cfg(&cfg);
         let ir = BinaryIr::build(&cfg_graph, 2);
         for threads in [1usize, 4] {
-            let all = pba_dataflow::run_all(&cfg_graph, threads);
-            let all_ir = pba_dataflow::run_all_ir(&ir, threads, ExecutorKind::Serial);
+            let all = pba_dataflow::run_all(&ir, threads);
             prop_assert_eq!(all.len(), cfg_graph.functions.len());
-            prop_assert_eq!(all_ir.len(), cfg_graph.functions.len());
             for f in cfg_graph.functions.values() {
                 let view = FuncIr::build(&cfg_graph, f);
                 let a = &all[&f.entry];
-                let b = &all_ir[&f.entry];
                 let lone = liveness(&view);
                 let stack = stack_heights(&view);
                 let rd = reaching_defs(&view);
                 for &blk in view.blocks() {
                     prop_assert_eq!(a.liveness.live_in(blk), lone.live_in(blk));
-                    prop_assert_eq!(b.liveness.live_in(blk), lone.live_in(blk));
                     prop_assert_eq!(a.stack.entry_frame(blk), stack.entry_frame(blk));
-                    prop_assert_eq!(b.stack.entry_frame(blk), stack.entry_frame(blk));
                 }
                 prop_assert_eq!(&a.reaching.defs, &rd.defs);
-                prop_assert_eq!(&b.reaching.defs, &rd.defs);
             }
         }
     }
 }
 
-/// The Skewed-profile corpus: one giant function (past the Auto
-/// threshold, thousands of blocks of deep diamond chains) among hundreds
-/// of small ones — the workload the barrier-free executor exists for.
-/// All three analyses must be byte-identical to serial at every thread
-/// count, and `Auto` (which now routes the giant to `Async`) must match
-/// too.
+/// The Skewed-profile corpus: one giant function (thousands of blocks
+/// of deep diamond chains) among small ones. The engine's liveness and
+/// stack heights must match the legacy loops there too. (The
+/// reaching-defs oracle is quadratic in the definition count, far too
+/// slow for the giant.)
 #[test]
-fn async_matches_serial_on_skewed_corpus() {
+fn skewed_corpus_matches_legacy_loops() {
     let mut gen_cfg = pba_gen::Profile::Skewed.config(0xA51C);
     gen_cfg.num_funcs = 40; // scale the small-function tail down for test time
     let g = generate(&gen_cfg);
@@ -337,28 +280,13 @@ fn async_matches_serial_on_skewed_corpus() {
         let view = FuncIr::build(&cfg_graph, f);
         let live = liveness(&view);
         let stack = stack_heights(&view);
-        let rd = reaching_defs(&view);
-        let mut execs: Vec<ExecutorKind> =
-            THREADS.iter().map(|&t| ExecutorKind::Async(t)).collect();
-        execs.push(ExecutorKind::Auto);
-        for exec in execs {
-            let l = liveness_with(&view, exec);
-            let s = stack_heights_with(&view, exec);
-            let r = reaching_defs_with(&view, exec);
-            for &b in view.blocks() {
-                assert_eq!(l.live_in(b), live.live_in(b), "{exec:?} liveness at {b:#x}");
-                assert_eq!(l.live_out(b), live.live_out(b), "{exec:?} liveness at {b:#x}");
-                assert_eq!(s.entry_frame(b), stack.entry_frame(b), "{exec:?} stack at {b:#x}");
-                assert_eq!(s.exit_frame(b), stack.exit_frame(b), "{exec:?} stack at {b:#x}");
-            }
-            assert_eq!(r.defs, rd.defs, "{exec:?} def table");
-            for &b in view.blocks() {
-                let mut got = r.reaching_at_entry(b);
-                let mut want = rd.reaching_at_entry(b);
-                got.sort_unstable();
-                want.sort_unstable();
-                assert_eq!(got, want, "{exec:?} reaching at {b:#x}");
-            }
+        let (live_in, live_out) = reference_liveness(&view);
+        let (at_entry, at_exit) = reference_stack(&view);
+        for &b in view.blocks() {
+            assert_eq!(live.live_in(b), live_in[&b], "liveness in at {b:#x}");
+            assert_eq!(live.live_out(b), live_out[&b], "liveness out at {b:#x}");
+            assert_eq!(stack.entry_frame(b), Some(at_entry[&b]), "stack entry at {b:#x}");
+            assert_eq!(stack.exit_frame(b), Some(at_exit[&b]), "stack exit at {b:#x}");
         }
     }
 }

@@ -1,18 +1,19 @@
-//! Executor equivalence for the engine-backed jump-table slice: the
-//! serial priority-worklist, the round-based parallel executor, and the
-//! barrier-free async executor must produce byte-identical
-//! `SliceOutcome`s — including the sticky widening decisions — for
-//! every indirect jump of a generated corpus (the Skewed profile's
-//! giant function included), and for a handcrafted CFG that actually
-//! trips `MAX_PATHS` widening. This is the equivalence test the ROADMAP
-//! required before sweeping `SliceSpec` under a parallel executor.
+//! Serial vs parallel sweeps of the engine-backed jump-table slice:
+//! slicing every indirect jump one after another, each over its own
+//! freshly built `FuncIr`, must produce byte-identical `SliceOutcome`s
+//! — including the sticky widening decisions — to slicing them
+//! concurrently on a rayon pool over one shared `BinaryIr`, the way the
+//! parser and the daemon slice. Checked on a generated corpus (the
+//! Skewed profile's giant function included) and on a handcrafted CFG
+//! that actually trips `MAX_PATHS` widening.
 
 use pba_dataflow::view::VecView;
-use pba_dataflow::{collect_indirect_jumps, slice_indirect_jump_with, ExecutorKind, FuncIr};
+use pba_dataflow::{collect_indirect_jumps, slice_indirect_jump, BinaryIr, FuncIr, SliceOutcome};
 use pba_gen::{generate, Profile};
 use pba_isa::x86::encode;
 use pba_isa::{insn::AluKind, insn::Cond, Insn, MemRef, Reg};
 use pba_parse::{parse_parallel, ParseInput};
+use rayon::prelude::*;
 
 /// Parse a generated profile binary into a finalized CFG.
 fn corpus_cfg(profile: Profile, seed: u64, num_funcs: usize) -> pba_cfg::Cfg {
@@ -24,6 +25,17 @@ fn corpus_cfg(profile: Profile, seed: u64, num_funcs: usize) -> pba_cfg::Cfg {
     parse_parallel(&input, 4).cfg
 }
 
+/// Run `slice` once per item on a pool of `threads` workers, in item
+/// order.
+fn par_slices<T: Sync>(
+    threads: usize,
+    items: &[T],
+    slice: impl Fn(&T) -> SliceOutcome + Sync,
+) -> Vec<SliceOutcome> {
+    let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().expect("pool");
+    pool.install(|| items.par_iter().map(&slice).collect())
+}
+
 #[test]
 fn serial_and_parallel_slices_agree_on_gen_corpus() {
     for (profile, seed, num_funcs) in
@@ -32,33 +44,27 @@ fn serial_and_parallel_slices_agree_on_gen_corpus() {
         let cfg = corpus_cfg(profile, seed, num_funcs);
         let jumps = collect_indirect_jumps(&cfg);
         assert!(!jumps.is_empty(), "{profile:?} corpus must contain indirect jumps");
-        for &(func, block) in &jumps {
-            let f = &cfg.functions[&func];
-            let view = FuncIr::build(&cfg, f);
-            let serial = slice_indirect_jump_with(&view, block, ExecutorKind::Serial)
-                .expect("indirect jump");
-            for threads in [2usize, 4] {
-                let par = slice_indirect_jump_with(&view, block, ExecutorKind::Parallel(threads))
-                    .expect("indirect jump");
+        let serial: Vec<SliceOutcome> = jumps
+            .iter()
+            .map(|&(func, block)| {
+                let view = FuncIr::build(&cfg, &cfg.functions[&func]);
+                slice_indirect_jump(&view, block).expect("indirect jump")
+            })
+            .collect();
+        let ir = BinaryIr::build(&cfg, 2);
+        for threads in [2usize, 4] {
+            let par = par_slices(threads, &jumps, |&(func, block)| {
+                slice_indirect_jump(ir.func(func).expect("function IR"), block)
+                    .expect("indirect jump")
+            });
+            for ((s, p), &(_, block)) in serial.iter().zip(&par).zip(&jumps) {
                 assert_eq!(
-                    serial.facts, par.facts,
+                    s.facts, p.facts,
                     "facts diverge at {block:#x} ({profile:?}, {threads} threads)"
                 );
                 assert_eq!(
-                    serial.widened, par.widened,
+                    s.widened, p.widened,
                     "widening signal diverges at {block:#x} ({profile:?}, {threads} threads)"
-                );
-            }
-            for threads in [1usize, 2, 4, 8] {
-                let asy = slice_indirect_jump_with(&view, block, ExecutorKind::Async(threads))
-                    .expect("indirect jump");
-                assert_eq!(
-                    serial.facts, asy.facts,
-                    "async facts diverge at {block:#x} ({profile:?}, {threads} threads)"
-                );
-                assert_eq!(
-                    serial.widened, asy.widened,
-                    "async widening diverges at {block:#x} ({profile:?}, {threads} threads)"
                 );
             }
         }
@@ -76,10 +82,11 @@ fn decode_seq(bytes: &[u8], base: u64) -> Vec<Insn> {
     out
 }
 
-/// The widening-order case proper: a diamond chain that fans past
-/// `MAX_PATHS` (same shape as the in-crate widening test), sliced under
-/// both executors. Widening is the one non-monotone step — this pins
-/// that its sticky per-block trigger is executor-order-independent.
+/// The widening case proper: a diamond chain that fans past
+/// `MAX_PATHS` (same shape as the in-crate widening test), sliced once
+/// serially and then many times concurrently over the one shared view.
+/// Widening is the one non-monotone step — this pins that its sticky
+/// per-block trigger lives in each run, not in anything runs share.
 #[test]
 fn serial_and_parallel_agree_under_widening() {
     let mut guard = vec![];
@@ -138,19 +145,16 @@ fn serial_and_parallel_agree_under_widening() {
     }
     let view = VecView::new(0x1000, block_data, edges);
 
-    let serial =
-        slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Serial).expect("indirect jump");
+    let serial = slice_indirect_jump(&view, 0x9000).expect("indirect jump");
     assert!(serial.widened, "the fan-out must trip MAX_PATHS widening");
+    let runs: Vec<u64> = (0..8).collect();
     for threads in [2usize, 4, 8] {
-        let par = slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Parallel(threads))
-            .expect("indirect jump");
-        assert_eq!(serial.facts, par.facts, "facts diverge ({threads} threads)");
-        assert_eq!(serial.widened, par.widened);
-    }
-    for threads in [1usize, 2, 4, 8] {
-        let asy = slice_indirect_jump_with(&view, 0x9000, ExecutorKind::Async(threads))
-            .expect("indirect jump");
-        assert_eq!(serial.facts, asy.facts, "async facts diverge ({threads} threads)");
-        assert_eq!(serial.widened, asy.widened, "async widening diverges ({threads} threads)");
+        let par = par_slices(threads, &runs, |_| {
+            slice_indirect_jump(&view, 0x9000).expect("indirect jump")
+        });
+        for p in &par {
+            assert_eq!(serial.facts, p.facts, "facts diverge ({threads} threads)");
+            assert_eq!(serial.widened, p.widened, "widening diverges ({threads} threads)");
+        }
     }
 }

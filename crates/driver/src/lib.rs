@@ -14,8 +14,8 @@
 //! is parsed once, not twice — [`Session::stats`] proves it, and
 //! `pba-bench --bin session` measures it.
 //!
-//! [`SessionConfig`] is the one configuration surface (threads,
-//! executor, parse options, load-module name) with one convention:
+//! [`SessionConfig`] is the one configuration surface (threads, parse
+//! options, load-module name) with one convention:
 //! `threads: 0` means "all available", everywhere. [`Error`] is the one
 //! failure type, wrapping ELF/DWARF/IO failures so they memoize and
 //! propagate uniformly (`pba::Error`).
@@ -31,7 +31,3 @@ pub mod session;
 pub use apps::{analyze, analyze_corpus, extract_binary};
 pub use error::Error;
 pub use session::{Session, SessionConfig, SessionStats};
-
-// The executor selection travels through `SessionConfig`; re-export it
-// so session consumers don't need a direct pba-dataflow dependency.
-pub use pba_dataflow::ExecutorKind;

@@ -5,7 +5,7 @@ use crate::error::Error;
 use pba_binfeat::BinaryFeatures;
 use pba_cfg::Cfg;
 use pba_concurrent::{Counter, Memo};
-use pba_dataflow::{BinaryIr, ExecutorKind, FuncAnalyses};
+use pba_dataflow::{BinaryIr, FuncAnalyses};
 use pba_dwarf::decode::DebugSlices;
 use pba_dwarf::DebugInfo;
 use pba_elf::{Elf, ImageBytes};
@@ -29,10 +29,6 @@ use std::time::Instant;
 pub struct SessionConfig {
     /// Worker threads for every parallel phase (0 = all available).
     pub threads: usize,
-    /// Per-function dataflow executor for the analysis phases
-    /// (`dataflow()`, the structure query phase, the BinFeat DF stage).
-    /// Results are executor-independent; this is a performance knob.
-    pub executor: ExecutorKind,
     /// Parse-engine options (scheduling, ablation toggles). Its
     /// `threads` field is overridden by [`SessionConfig::threads`] so
     /// there is exactly one thread knob.
@@ -43,12 +39,7 @@ pub struct SessionConfig {
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig {
-            threads: 0,
-            executor: ExecutorKind::Serial,
-            parse: ParseConfig::default(),
-            name: "a.out".into(),
-        }
+        SessionConfig { threads: 0, parse: ParseConfig::default(), name: "a.out".into() }
     }
 }
 
@@ -56,12 +47,6 @@ impl SessionConfig {
     /// Set the worker-thread count (0 = all available).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the per-function dataflow executor.
-    pub fn with_executor(mut self, executor: ExecutorKind) -> Self {
-        self.executor = executor;
         self
     }
 
@@ -280,7 +265,7 @@ impl Session {
         self.dataflow
             .get_or_compute(|| {
                 let ir = self.ir()?;
-                Ok(pba_dataflow::run_all_ir(ir, self.config.threads, self.config.executor))
+                Ok(pba_dataflow::run_all(ir, self.config.threads))
             })
             .as_ref()
             .map_err(Clone::clone)
@@ -345,7 +330,6 @@ impl Session {
                     cfg,
                     ir,
                     &hs,
-                    self.config.executor,
                     ArtifactTimes { read, dwarf, cfg: cfg_secs },
                 ))
             })
@@ -363,12 +347,7 @@ impl Session {
                 let cfg = self.cfg()?;
                 let ir = self.ir()?;
                 let t_cfg = t.elapsed().as_secs_f64();
-                let mut bf = pba_binfeat::extract_cfg_features(
-                    cfg,
-                    ir,
-                    self.config.threads,
-                    self.config.executor,
-                );
+                let mut bf = pba_binfeat::extract_cfg_features(cfg, ir, self.config.threads);
                 bf.t_cfg = t_cfg;
                 Ok(bf)
             })

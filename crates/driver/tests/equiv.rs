@@ -4,7 +4,6 @@
 //! against the session-backed entry points pins byte-identical outputs
 //! on the generated corpus.
 
-use pba_dataflow::ExecutorKind;
 use pba_driver::{analyze, analyze_corpus, extract_binary};
 use pba_gen::{generate, GenConfig, Profile};
 use pba_hpcstruct::{analyze_artifacts, ArtifactTimes, HsConfig, HsOutput};
@@ -23,7 +22,6 @@ fn legacy_analyze(bytes: &[u8], threads: usize, name: &str) -> HsOutput {
         &parsed.cfg,
         &ir,
         &HsConfig { threads, name: name.into() },
-        ExecutorKind::Serial,
         ArtifactTimes::default(),
     )
 }
@@ -34,7 +32,7 @@ fn legacy_extract(bytes: &[u8], threads: usize) -> pba_binfeat::BinaryFeatures {
     let input = ParseInput::from_elf(&elf).unwrap();
     let parsed = parse_parallel(&input, threads);
     let ir = pba_dataflow::BinaryIr::build(&parsed.cfg, threads);
-    pba_binfeat::extract_cfg_features(&parsed.cfg, &ir, threads, ExecutorKind::Serial)
+    pba_binfeat::extract_cfg_features(&parsed.cfg, &ir, threads)
 }
 
 #[test]

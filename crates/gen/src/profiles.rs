@@ -38,9 +38,8 @@ pub enum Profile {
     /// Load-balance stress: one huge multi-thousand-block function
     /// (think a generated parser or an unrolled numeric kernel) among
     /// hundreds of tiny ones. A statically-chunked scheduler serializes
-    /// on the giant; the work-stealing pool (and the `ExecutorKind`
-    /// auto heuristic) is measured against exactly this shape by
-    /// `pba-bench --bin steal`.
+    /// on the giant; the work-stealing pool is measured against exactly
+    /// this shape by `pba-bench --bin steal`.
     Skewed,
 }
 
@@ -127,9 +126,8 @@ impl Profile {
                 num_funcs: 400,
                 body_size: 6,
                 pct_switch: 0.05,
-                // One giant: ~1400 diamonds ≈ 4200+ blocks, past the
-                // ExecutorKind::Auto threshold; everything else stays
-                // a handful of blocks.
+                // One giant: ~1400 diamonds ≈ 4200+ blocks; everything
+                // else stays a handful of blocks.
                 huge_funcs: 1,
                 huge_diamonds: 1400,
                 debug_name_bloat: 1,

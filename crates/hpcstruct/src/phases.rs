@@ -13,7 +13,7 @@
 
 use crate::structure::{FuncStruct, InlineScope, LoopStruct, StmtRange, StructFile};
 use pba_cfg::Cfg;
-use pba_dataflow::{BinaryIr, CfgView, ExecutorKind};
+use pba_dataflow::{BinaryIr, CfgView};
 use pba_dwarf::{DebugInfo, InlinedSub};
 use pba_loops::loop_forest_on;
 use rayon::prelude::*;
@@ -156,8 +156,7 @@ fn convert_inline(files: &[String], inl: &InlinedSub) -> InlineScope {
 
 /// Run phases 3 and 5–7 over already-built artifacts: the line map, the
 /// skeleton, the parallel query phase (loops, statements, inline scopes,
-/// stack frames — per-function dataflow runs on `exec`), and
-/// serialization. `ir` is the shared decode-once analysis IR
+/// stack frames), and serialization. `ir` is the shared decode-once analysis IR
 /// (`Session::ir()`); every instruction this pipeline reads — loop
 /// discovery, the stack-frame fixpoint, the statement walk — is a
 /// borrow of its arenas, so the query phases decode nothing. `pre`
@@ -168,7 +167,6 @@ pub fn analyze_artifacts(
     cfg_graph: &Cfg,
     ir: &BinaryIr,
     cfg: &HsConfig,
-    exec: ExecutorKind,
     pre: ArtifactTimes,
 ) -> HsOutput {
     // 0 = all available, uniformly: the pool builder owns the mapping.
@@ -206,8 +204,8 @@ pub fn analyze_artifacts(
     // per-function stack analysis across the pool once; the
     // per-function closures below then read its results.
     let t = Instant::now();
-    let frame_of = pba_dataflow::run_per_function_ir(ir, cfg.threads, |fir| {
-        pba_dataflow::stack_heights_and_extent_on(fir, fir.graph(), exec).1
+    let frame_of = pba_dataflow::run_per_function(ir, cfg.threads, |fir| {
+        pba_dataflow::stack_heights_and_extent_on(fir, fir.graph()).1
     });
     // Map entries to DWARF subprograms once: a sorted array queried by
     // binary search (entries are read-only from here on).
@@ -351,7 +349,6 @@ mod tests {
             &parsed.cfg,
             &ir,
             &HsConfig { threads, name: name.into() },
-            ExecutorKind::Serial,
             ArtifactTimes::default(),
         )
     }
@@ -402,7 +399,6 @@ mod tests {
             &parsed.cfg,
             &ir,
             &HsConfig { threads: 1, name: "t".into() },
-            ExecutorKind::Serial,
             ArtifactTimes { read: 1.0, dwarf: 2.0, cfg: 4.0 },
         );
         assert_eq!(out.times.seconds[0], 1.0);
@@ -417,24 +413,6 @@ mod tests {
         let bytes = sample();
         let a = run(&bytes, 1, "t");
         let b = run(&bytes, 4, "t");
-        assert_eq!(a.structure, b.structure);
-        assert_eq!(a.text, b.text);
-    }
-
-    #[test]
-    fn executor_choice_does_not_change_output() {
-        let bytes = sample();
-        let elf = pba_elf::Elf::parse(bytes.clone()).unwrap();
-        let di =
-            pba_dwarf::decode_parallel(pba_dwarf::decode::DebugSlices::from_elf(&elf)).unwrap();
-        let input = ParseInput::from_elf(&elf).unwrap();
-        let parsed = parse_parallel(&input, 2);
-        let ir = BinaryIr::build(&parsed.cfg, 2);
-        let hs = HsConfig { threads: 2, name: "t".into() };
-        let a =
-            analyze_artifacts(&di, &parsed.cfg, &ir, &hs, ExecutorKind::Serial, Default::default());
-        let b =
-            analyze_artifacts(&di, &parsed.cfg, &ir, &hs, ExecutorKind::Auto, Default::default());
         assert_eq!(a.structure, b.structure);
         assert_eq!(a.text, b.text);
     }

@@ -288,11 +288,10 @@ pub fn slice_function(session: &Session, entry: u64) -> Result<Vec<SliceJump>, E
         .map(|(_, b)| b)
         .collect();
     blocks.sort_unstable();
-    let exec = session.config().executor;
     Ok(blocks
         .into_iter()
         .filter_map(|block| {
-            pba_dataflow::slice_indirect_jump_with(fir, block, exec).map(|o| SliceJump {
+            pba_dataflow::slice_indirect_jump(fir, block).map(|o| SliceJump {
                 block,
                 widened: o.widened,
                 facts: o.facts.len() as u64,

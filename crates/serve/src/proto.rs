@@ -61,6 +61,12 @@ use std::io::{Read, Write};
 /// Hard ceiling on a frame's payload size (64 MiB).
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// How far a frame reader's buffer may run ahead of the bytes that have
+/// actually arrived (64 KiB): the payload is extended one chunk at a
+/// time, so a length prefix alone pins one chunk, not the announced
+/// size.
+const READ_CHUNK: usize = 64 << 10;
+
 /// A binary operand: shipped inline or named by server-local path.
 #[derive(Debug, Clone, PartialEq)]
 pub enum BinSpec {
@@ -559,16 +565,16 @@ pub fn read_frame_with(
     r: &mut impl Read,
     keep_waiting: impl Fn() -> bool,
 ) -> Result<Option<Vec<u8>>, Error> {
-    let mut len = [0u8; 4];
-    if !read_full(r, &mut len, true, &keep_waiting)? {
+    let mut len = Vec::with_capacity(4);
+    if !read_full(r, &mut len, 4, true, &keep_waiting)? {
         return Ok(None);
     }
-    let n = u32::from_be_bytes(len) as usize;
+    let n = u32::from_be_bytes([len[0], len[1], len[2], len[3]]) as usize;
     if n > MAX_FRAME {
         return Err(Error::Protocol(format!("announced frame of {n} bytes exceeds MAX_FRAME")));
     }
-    let mut payload = vec![0u8; n];
-    if !read_full(r, &mut payload, false, &keep_waiting)? {
+    let mut payload = Vec::new();
+    if !read_full(r, &mut payload, n, false, &keep_waiting)? {
         return Ok(None);
     }
     Ok(Some(payload))
@@ -593,27 +599,31 @@ pub fn decode_message<T: Deserialize>(payload: &[u8]) -> Result<T, Error> {
     serde_json::from_str(text).map_err(|e| Error::Protocol(e.to_string()))
 }
 
-/// Fill `buf`, tolerating read timeouts while `keep_waiting()` holds.
+/// Read `want` bytes into the empty `buf`, tolerating read timeouts
+/// while `keep_waiting()` holds. The buffer grows [`READ_CHUNK`] bytes
+/// at a time as data arrives, never to the announced size up front.
 /// Returns false on a clean stop (EOF at a frame boundary when
-/// `eof_is_clean`, or `keep_waiting` declining while nothing of this
-/// buffer has arrived yet... once bytes are in flight, a stop would
-/// desynchronize the stream, so only EOF can end it, as an error).
+/// `eof_is_clean`, or `keep_waiting` declining on a timeout); EOF
+/// anywhere else is an error.
 fn read_full(
     r: &mut impl Read,
-    buf: &mut [u8],
+    buf: &mut Vec<u8>,
+    want: usize,
     eof_is_clean: bool,
     keep_waiting: &impl Fn() -> bool,
 ) -> Result<bool, Error> {
     let mut filled = 0;
-    while filled < buf.len() {
+    while filled < want {
+        if filled == buf.len() {
+            buf.resize(want.min(filled + READ_CHUNK), 0);
+        }
         match r.read(&mut buf[filled..]) {
             Ok(0) => {
                 return if filled == 0 && eof_is_clean {
                     Ok(false)
                 } else {
                     Err(Error::Protocol(format!(
-                        "connection closed mid-frame ({filled} of {} bytes)",
-                        buf.len()
+                        "connection closed mid-frame ({filled} of {want} bytes)"
                     )))
                 };
             }
@@ -763,6 +773,38 @@ mod tests {
             Err(Error::Protocol(msg)) => assert!(msg.contains("MAX_FRAME"), "{msg}"),
             other => panic!("expected protocol error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn huge_announcement_then_eof_is_a_protocol_error() {
+        let mut buf = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        buf.extend_from_slice(b"{\"kind\"");
+        let mut r = &buf[..];
+        match read_frame(&mut r) {
+            Err(Error::Protocol(msg)) => assert!(msg.contains("mid-frame"), "{msg}"),
+            other => panic!("expected protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn frames_longer_than_one_chunk_round_trip() {
+        /// Hands out at most 5,000 bytes per `read`, so reads straddle
+        /// the chunk boundaries.
+        struct Trickle<'a>(&'a [u8]);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = out.len().min(self.0.len()).min(5_000);
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let payload: Vec<u8> = (0..2 * READ_CHUNK + 123).map(|i| (i * 31 % 251) as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        let mut r = Trickle(&buf);
+        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&payload[..]));
+        assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF after the frame");
     }
 
     #[test]

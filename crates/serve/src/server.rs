@@ -74,7 +74,7 @@ impl std::fmt::Display for ServeAddr {
 pub struct ServeConfig {
     /// Resident-bytes budget for the session cache.
     pub cap_bytes: usize,
-    /// Session config for every served session (threads, executor, …).
+    /// Session config for every served session (threads, parse options, …).
     pub session: SessionConfig,
 }
 

@@ -1,12 +1,11 @@
 //! Dataflow engine walkthrough: generate a synthetic binary, parse its
-//! CFG in parallel, then run the whole-binary analysis driver and poke
-//! at per-function engine results.
+//! CFG in parallel, decode it once into a `BinaryIr`, then run the
+//! whole-binary analysis driver and poke at per-function engine results.
 //!
 //! ```text
 //! cargo run --example dataflow_engine --release [THREADS]
 //! ```
 
-use pba::dataflow::engine::ExecutorKind;
 use pba::dataflow::Height;
 use pba::gen::{generate, GenConfig};
 use pba::parse::{parse_parallel, ParseInput};
@@ -31,26 +30,23 @@ fn main() {
         cfg.blocks.len()
     );
 
-    // The whole-binary driver: every function × three analyses, fanned
-    // across a rayon pool. Timed per analysis family below.
+    // Decode every unique block once; the analyses only borrow.
     let t = Instant::now();
-    let analyses = pba::dataflow::run_all(&cfg, threads);
+    let ir = pba::dataflow::BinaryIr::build(&cfg, threads);
+    let t_ir = t.elapsed();
+
+    // The whole-binary driver: every function × three analyses, fanned
+    // across a rayon pool (each function's fixpoints run serially).
+    let t = Instant::now();
+    let analyses = pba::dataflow::run_all(&ir, threads);
     let t_all = t.elapsed();
+    let t = Instant::now();
+    std::hint::black_box(pba::dataflow::run_all(&ir, 1));
+    let t_one = t.elapsed();
 
-    // Per-analysis timings (re-running each family individually).
-    let mut timings = Vec::new();
-    for (name, exec) in
-        [("serial-exec", ExecutorKind::Serial), ("parallel-exec", ExecutorKind::Parallel(threads))]
-    {
-        let t = Instant::now();
-        std::hint::black_box(pba::dataflow::run_all_with(&cfg, threads, exec));
-        timings.push((name, t.elapsed()));
-    }
-
+    println!("BinaryIr::build({threads} threads): {t_ir:?}");
     println!("run_all({threads} threads): {t_all:?} for {} functions", analyses.len());
-    for (name, d) in &timings {
-        println!("  {name:<14} {d:?}");
-    }
+    println!("run_all(1 thread): {t_one:?}");
 
     // Sample what the engine computed: the densest function's facts.
     let densest =

@@ -110,8 +110,7 @@ pub mod deque {
     /// `crossbeam_deque::Injector`): the global entry point of a
     /// work-stealing scheduler. Producers outside the worker pool push
     /// here; workers steal in FIFO order, so externally submitted tasks
-    /// run in submission order — the property the async dataflow
-    /// executor leans on to seed blocks in priority (rank) order.
+    /// run in submission order.
     pub struct Injector<T> {
         inner: Mutex<VecDeque<T>>,
     }

@@ -25,7 +25,6 @@
 //!
 //! options:
 //!   --threads N                   worker threads (0 = all available; default 0)
-//!   --executor serial|parallel|async|auto   per-function dataflow executor
 //! ```
 //!
 //! `<addr>` is `unix:<path>`, `tcp:<host:port>`, a bare socket path, or
@@ -42,15 +41,15 @@
 
 use pba::gen::{generate, GenConfig};
 use pba::serve::{BinSpec, Client, Request, Response, ServeAddr, ServeConfig, Server};
-use pba::{Error, ExecutorKind, Session, SessionConfig};
+use pba::{Error, Session, SessionConfig};
 
 fn usage() -> ! {
     eprintln!(
-        "usage:\n  pba functions <elf> [--threads N] [--executor serial|parallel|async|auto]\n  \
-         pba blocks <elf> <name>\n  pba struct <elf> [--stats] [--threads N] [--executor E]\n  \
+        "usage:\n  pba functions <elf> [--threads N]\n  \
+         pba blocks <elf> <name>\n  pba struct <elf> [--stats] [--threads N]\n  \
          pba stats <elf> [--threads N]\n  pba selftest [--funcs N]\n  \
          pba gen <out> [--funcs N] [--seed S]\n  \
-         pba serve <addr> [--cap-mib N] [--threads N] [--executor E]\n  \
+         pba serve <addr> [--cap-mib N] [--threads N]\n  \
          pba query <addr> struct|features|slice|similarity|ingest|topk|stats|evict|shutdown \
          [args] [--k N] [--exact] [--by-path]\n  \
          pba topk <dir> <query-elf> [--k N]"
@@ -84,20 +83,7 @@ fn print_json<T: serde::Serialize>(msg: &T) -> Result<(), Error> {
 /// Build the one configuration surface from the command line.
 fn config(args: &[String], name: &str) -> SessionConfig {
     let threads = flag(args, "--threads").unwrap_or(0); // 0 = all available
-    let executor = match args
-        .iter()
-        .position(|a| a == "--executor")
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-    {
-        None => ExecutorKind::Serial,
-        Some("serial") => ExecutorKind::Serial,
-        Some("parallel") => ExecutorKind::Parallel(0),
-        Some("async") => ExecutorKind::Async(0),
-        Some("auto") => ExecutorKind::Auto,
-        Some(_) => usage(),
-    };
-    SessionConfig::default().with_threads(threads).with_executor(executor).with_name(name)
+    SessionConfig::default().with_threads(threads).with_name(name)
 }
 
 fn main() {
